@@ -33,10 +33,8 @@ from .contour_quadrature import (
 )
 from .sphere_backend import (
     INFINITY,
-    SPHERE,
     DegenerateContourError,
     PoleError,
-    SphereBackend,
     c_contour,
     default_kernel_contour,
     dp_m_coeff,

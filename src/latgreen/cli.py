@@ -1,9 +1,9 @@
 """Batch front end: tables, verification suite, quasimomentum maps.
 
-Exit codes: 0 success, 1 failed verification check, 2 degenerate contour or
-rejected configuration, 3 I/O failure.  The GREEN_NODES environment
-variable overrides the built-in default node count; an explicit --nodes
-beats both.  Outputs are plain CSV/JSON with complex values as separate
+Exit codes: 0 success, 1 failed verification check (or a green-table
+estimate above --tol), 2 degenerate contour or rejected configuration, 3 I/O
+failure.  The GREEN_NODES environment variable overrides the built-in
+default node count; an explicit --nodes beats both.  Outputs are plain CSV/JSON with complex values as separate
 re/im columns, and identical inputs produce byte-identical files.
 """
 from __future__ import annotations
@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from typing import List, Optional, Tuple
 
@@ -30,11 +31,11 @@ from .green_function import (
 from .lattice_core import LatticeField, apply_five_point, check_four_point, coefficients_from_f
 from .sphere_backend import (
     INFINITY,
-    SPHERE,
     DegenerateContourError,
     c_contour,
     default_kernel_contour,
     dp_n_coeff,
+    f,
     im_p_m,
     im_p_n,
     psi,
@@ -50,6 +51,10 @@ from .theta_engine import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+# options whose values may start with '-' (a negative real part or index)
+_SIGNED_OPTIONS = ("--lambda", "--target")
+_SIGNED_VALUE = re.compile(r"-[0-9.ij]")
 
 
 def _default_nodes() -> int:
@@ -93,11 +98,6 @@ def _check_config(args) -> None:
 
 def cmd_green_table(args) -> int:
     _check_config(args)
-    if args.backend != "sphere":
-        # contour construction is defined only on the sphere backend;
-        # Jacobian-level theta data carries no level-set geometry
-        print("green-table requires the sphere backend", file=sys.stderr)
-        return 2
     lam = parse_point(args.lam) if args.lam is not None else None
     kind = "g0" if args.g0 else "green"
     if kind == "green" and lam is None:
@@ -117,10 +117,11 @@ def cmd_green_table(args) -> int:
     else:
         table.write_json(out)
     est = table.metadata.get("est_error")
+    print(f"wrote {out} ({table.values.size} values, est_error={est:.3e})")
     if args.tol is not None and est > args.tol:
         print(f"warning: node-halving estimate {est:.3e} exceeds --tol {args.tol:.1e}",
               file=sys.stderr)
-    print(f"wrote {out} ({len(table.values)} values, est_error={est:.3e})")
+        return 1
     return 0
 
 
@@ -152,12 +153,12 @@ def _sphere_checks(nodes: int, flip_orientation: bool) -> List[_Check]:
     psi_mn = LatticeField.from_function(
         (-half - 1, half + 1), (-half - 1, half + 1), lambda m, n: psi(z0, m, n)
     )
-    checks.append(_Check("four_point", check_four_point(psi_mn, SPHERE.f), 1e-12))
+    checks.append(_Check("four_point", check_four_point(psi_mn, f), 1e-12))
     phi = LatticeField.from_function(
         (-4, 4), (-4, 4), lambda mu, nu: psi(z0, mu - nu, mu + nu)
     )
     worst5 = max(
-        abs(apply_five_point(phi, lambda mu, nu: coefficients_from_f(SPHERE.f, mu, nu), mu, nu))
+        abs(apply_five_point(phi, lambda mu, nu: coefficients_from_f(f, mu, nu), mu, nu))
         for mu in range(-3, 4)
         for nu in range(-3, 4)
     )
@@ -270,9 +271,6 @@ def cmd_verify(args) -> int:
 
 def cmd_quasimomentum_map(args) -> int:
     _check_config(args)
-    if args.backend != "sphere":
-        print("quasimomentum-map requires the sphere backend", file=sys.stderr)
-        return 2
     if args.grid < 2:
         raise ValueError(f"--grid must be >= 2, got {args.grid}")
     xs = [args.xmin + k * (args.xmax - args.xmin) / (args.grid - 1) for k in range(args.grid)]
@@ -331,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--g0", action="store_true", help="bare kernel instead of normalized")
     p_table.add_argument("--nodes", type=int, default=nodes_default)
     p_table.add_argument("--tol", type=float, default=None)
-    p_table.add_argument("--backend", default="sphere", help="'sphere' or theta-data JSON path")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", default=None)
     p_table.set_defaults(func=cmd_green_table)
@@ -356,15 +353,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--lambda", dest="lam", action="append", default=[],
                        help="emit the level set through this point (repeatable)")
     p_map.add_argument("--nodes", type=int, default=nodes_default)
-    p_map.add_argument("--backend", default="sphere")
     p_map.add_argument("--out", default="quasimomentum_map.csv")
     p_map.add_argument("--contours-out", dest="contours_out", default=None)
     p_map.set_defaults(func=cmd_quasimomentum_map)
     return parser
 
 
+def _attach_negative_values(argv: List[str]) -> List[str]:
+    """Join ``--lambda -1+2i`` into ``--lambda=-1+2i`` (likewise --target).
+
+    argparse reads a separate value starting with '-' as an option unless
+    it is a plain negative number, so "-2,-2" or "-1+2i" would be rejected.
+    """
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and _SIGNED_VALUE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(list(argv)))
     try:
         return args.func(args)
     except DegenerateContourError as exc:

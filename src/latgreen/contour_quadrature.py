@@ -234,7 +234,7 @@ def normalize_orientation(contour: Contour, dp_n: DifferentialEvaluator) -> Cont
     return contour
 
 
-def _subarc(comp: CurveComponent, a: float, b: float) -> CurveComponent:
+def _subarc(comp: CurveComponent, a, b) -> CurveComponent:
     """Open arc of ``comp`` over the parameter interval [a, b] (mod 1)."""
     a = QUAD_REAL(a)
     span = QUAD_REAL(b) - a
@@ -248,45 +248,24 @@ def _subarc(comp: CurveComponent, a: float, b: float) -> CurveComponent:
     return CurveComponent(point=point, velocity=velocity, closed=False)
 
 
-def split_at_sign_changes(
-    contour: Contour,
-    scalar: Callable[[np.ndarray], np.ndarray],
-    n_scan: int = 512,
-    bisections: int = 90,
-) -> Contour:
-    """Split closed components where ``scalar(z(t))`` changes sign.
+def split_at_sign_changes(contour: Contour, ts: Sequence) -> Contour:
+    """Cut every closed component at the parameters ``ts`` (in [0, 1)).
 
-    Piecewise-sign-definite integrands (e.g. sgn-weighted differentials)
-    lose the trapezoidal rule's spectral accuracy at the sign jumps; after
-    splitting, each arc is integrated with Gauss-Legendre nodes and the
-    geometric convergence is restored.  Components on which the scalar has
-    no sign change are left closed.
+    ``ts`` are the points where a weight changes sign, known in closed form
+    by the caller.  Piecewise-sign-definite integrands (e.g. sgn-weighted
+    differentials) lose the trapezoidal rule's spectral accuracy at the
+    sign jumps; after splitting, each arc is integrated with Gauss-Legendre
+    nodes and the geometric convergence is restored.  With no parameters
+    the components are left closed.  The arc ends stay in ``QUAD_REAL``.
     """
+    roots = np.sort(np.asarray(ts, dtype=QUAD_REAL))
+    if roots.size == 0:
+        return contour
+    ends = np.append(roots, roots[0] + 1)
     new_components: List[CurveComponent] = []
     for comp in contour.components:
         if not comp.closed:
             new_components.append(comp)
             continue
-        ts = (np.arange(n_scan, dtype=QUAD_REAL) + QUAD_REAL(0.5)) / n_scan
-        vals = np.asarray(scalar(comp.point(ts)), dtype=QUAD_REAL)
-        pos = vals > 0
-        flips = np.nonzero(pos != np.roll(pos, -1))[0]
-        if flips.size == 0:
-            new_components.append(comp)
-            continue
-        lo = ts[flips]
-        hi = ts[(flips + 1) % n_scan] + np.where(flips == n_scan - 1, QUAD_REAL(1.0), QUAD_REAL(0.0))
-        flo = vals[flips]
-        for _ in range(bisections):
-            mid = (lo + hi) / 2
-            fmid = np.asarray(scalar(comp.point(np.mod(mid, QUAD_REAL(1.0)))), dtype=QUAD_REAL)
-            same = (fmid > 0) == (flo > 0)
-            lo = np.where(same, mid, lo)
-            flo = np.where(same, fmid, flo)
-            hi = np.where(same, hi, mid)
-        roots = np.sort(np.mod((lo + hi) / 2, QUAD_REAL(1.0)))
-        for k in range(roots.size):
-            a = roots[k]
-            b = roots[(k + 1) % roots.size] + (QUAD_REAL(1.0) if k == roots.size - 1 else QUAD_REAL(0.0))
-            new_components.append(_subarc(comp, float(a), float(b)))
+        new_components.extend(_subarc(comp, a, b) for a, b in zip(ends[:-1], ends[1:]))
     return replace(contour, components=tuple(new_components))

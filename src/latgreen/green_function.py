@@ -22,20 +22,24 @@ lam; levels through the marked points are deformed, see the backend).
 
 The sign convention is sgn(0) = 0 throughout: sign changes happen on a
 measure-zero subset of the contour and the weighted integrand is taken
-pointwise.  Numerically the contour is split at the sign changes so each
-arc carries an analytic integrand.
+pointwise.  Numerically the contour is split where the weight changes sign
+(two points known in closed form), so each arc carries an analytic
+integrand and a constant sign s_arc.  Per arc a whole window is one matrix
+product of power tables of psi (see :func:`_arc_products`); the weight is
+applied per arc and per entry, never as sgn * K + Z from arc sums, since
+the weight is exactly 0 on one arc and the K + Z form cancels digits there.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from dataclasses import astuple, dataclass, field
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .contour_quadrature import (
     DEFAULT_NODES,
-    QUAD_DTYPE,
+    QUAD_REAL,
     Contour,
     PoleOnContourError,
     _component_rule,
@@ -43,7 +47,23 @@ from .contour_quadrature import (
     split_at_sign_changes,
 )
 from .lattice_core import coefficients_from_f, from_sublattice
-from .sphere_backend import SPHERE, SphereBackend, SpherePoint
+from .sphere_backend import (
+    INFINITY,
+    MARKED_POINTS,
+    P_PLUS,
+    Q_PLUS,
+    SpherePoint,
+    c_contour,
+    default_kernel_contour,
+    f,
+    im_p_m,
+    im_p_m_crossings,
+    im_p_n,
+    omega_coeff,
+    psi,
+    psi_dual,
+    psi_power_tables,
+)
 
 __all__ = [
     "WaveDifferential",
@@ -60,36 +80,33 @@ __all__ = [
 ]
 
 FOUR_PI = 4.0 * math.pi
+# the default residue radius is half the distance to the nearest of these
+_FINITE_MARKED_POINTS = [complex(p) for p in MARKED_POINTS if p is not INFINITY]
 
-Window = Union[int, Tuple[Tuple[int, int], Tuple[int, int]]]
+Bounds = Tuple[Tuple[int, int], Tuple[int, int]]
+Window = Union[int, Bounds]
 
 
 @dataclass(frozen=True)
 class WaveDifferential:
     """The differential psi(z, m, n) psi_dual(z, mt, nt) Omega as an evaluator."""
 
-    backend: SphereBackend
     m: int
     n: int
     m_t: int
     n_t: int
 
     @classmethod
-    def from_sublattice(cls, backend, mu: int, nu: int, mu_t: int, nu_t: int):
+    def from_sublattice(cls, mu: int, nu: int, mu_t: int, nu_t: int):
         m, n = from_sublattice(mu, nu)
         mt, nt = from_sublattice(mu_t, nu_t)
-        return cls(backend, m, n, mt, nt)
+        return cls(m, n, mt, nt)
 
     def __call__(self, z):
-        b = self.backend
-        return (
-            b.psi(z, self.m, self.n)
-            * b.psi_dual(z, self.m_t, self.n_t)
-            * b.omega_coeff(z)
-        )
+        return psi(z, self.m, self.n) * psi_dual(z, self.m_t, self.n_t) * omega_coeff(z)
 
 
-def _window_bounds(window: Window, target: Tuple[int, int]) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+def _window_bounds(window: Window, target: Tuple[int, int]) -> Bounds:
     if isinstance(window, int):
         if window < 0:
             raise ValueError("window half-size must be nonnegative")
@@ -101,77 +118,74 @@ def _window_bounds(window: Window, target: Tuple[int, int]) -> Tuple[Tuple[int, 
     return (int(mu_lo), int(mu_hi)), (int(nu_lo), int(nu_hi))
 
 
-class _ContourEvaluator:
-    """Cached contour samples for one target; values per (mu, nu) on demand.
+def _point(mu: int, nu: int) -> Bounds:
+    return (mu, mu), (nu, nu)
 
-    The target-dependent factor psi_dual * Omega * velocity * quadrature
-    weights is sampled once; each table entry then costs a single psi
-    evaluation (O(log |m| + log |n|) array products) and a dot product.
-    For the normalized kernel the index-independent part of the sign
-    weight is also precomputed.
+
+def _arc_products(
+    contour: Contour, target: Tuple[int, int], bounds: Bounds, nodes: Optional[int] = None
+) -> List[np.ndarray]:
+    """Per component, the integrals of the wave differential over a window.
+
+    ``P[i, j]`` is the integral along the component (orientation included)
+    of psi(z, m, n) psi_dual(z, mt, nt) Omega at (mu, nu) =
+    (mu_lo + i, nu_lo + j), in extended precision.  ``base`` = psi_dual *
+    Omega * velocity * quadrature weights is sampled once per component;
+    with psi = U**mu V**nu the window is ``P = (Up * base) @ Vp.T``.  A
+    single point is a 1 x 1 window.
     """
+    n = int(nodes) if nodes is not None else contour.nodes_per_component
+    m_t, n_t = from_sublattice(*target)
+    products = []
+    for comp in contour.components:
+        t, w = _component_rule(comp, n)
+        z = comp.point(t)
+        base = psi_dual(z, m_t, n_t) * omega_coeff(z) * comp.velocity(t) * w * contour.orientation_sign
+        up, vp = psi_power_tables(z, *bounds)
+        up *= base
+        products.append(up @ vp.T)
+        # free this component's tables before the next one builds its own
+        del up, vp
+        if not np.all(np.isfinite(products[-1])):
+            raise PoleOnContourError("non-finite integrand sample on the contour")
+    return products
 
-    def __init__(
-        self,
-        backend,
-        contour: Contour,
-        target: Tuple[int, int],
-        kind: str,
-        lam: Optional[SpherePoint] = None,
-        nodes: Optional[int] = None,
-    ):
-        if kind not in ("green", "g0"):
-            raise ValueError(f"unknown kind {kind!r}")
-        self.backend = backend
-        self.kind = kind
-        self.mu_t, self.nu_t = target
-        self.m_t, self.n_t = from_sublattice(self.mu_t, self.nu_t)
-        n = int(nodes) if nodes is not None else contour.nodes_per_component
-        if kind == "green":
-            if lam is None:
-                raise ValueError("normalized green needs lambda")
-            h_lam = backend.im_p_m(lam)
-            contour = split_at_sign_changes(
-                contour, lambda z: h_lam - backend.im_p_m(z)
-            )
-        self._z: List[np.ndarray] = []
-        self._base: List[np.ndarray] = []
-        self._sgn_level: List[np.ndarray] = []
-        for comp in contour.components:
-            t, w = _component_rule(comp, n)
-            z = comp.point(t)
-            base = (
-                np.asarray(backend.psi_dual(z, self.m_t, self.n_t), dtype=QUAD_DTYPE)
-                * backend.omega_coeff(z)
-                * comp.velocity(t)
-                * w
-                * contour.orientation_sign
-            )
-            if not np.all(np.isfinite(base.astype(complex))):
-                raise PoleOnContourError("non-finite integrand sample on the contour")
-            self._z.append(z)
-            self._base.append(base)
-            if kind == "green":
-                self._sgn_level.append(np.sign(h_lam - backend.im_p_m(z)))
 
-    def kernel(self, mu: int, nu: int) -> complex:
-        """Bare contour integral of the wave differential (kind g0 only)."""
-        m, n = from_sublattice(mu, nu)
-        total = QUAD_DTYPE(0)
-        for i, z in enumerate(self._z):
-            total = total + np.sum(self.backend.psi(z, m, n) * self._base[i])
-        return complex(total)
+def _level_arcs(lam: SpherePoint, contour: Contour) -> Tuple[Contour, List[float]]:
+    """Split a level circle where sgn(im_p_m(lam) - im_p_m(z)) flips.
 
-    def value(self, mu: int, nu: int) -> complex:
-        m, n = from_sublattice(mu, nu)
-        dm = np.sign(m - self.m_t)
-        if self.kind == "g0":
-            return complex(dm * self.kernel(mu, nu) / FOUR_PI)
-        total = QUAD_DTYPE(0)
-        for i, z in enumerate(self._z):
-            weight = dm + self._sgn_level[i]
-            total = total + np.sum(weight * self.backend.psi(z, m, n) * self._base[i])
-        return complex(total / FOUR_PI)
+    Returns the split contour and the constant sign of the weight on each
+    of its components.
+    """
+    radius = contour.metadata.get("chart_radius")
+    if radius is None:
+        raise ValueError("the normalized green needs a level circle |w| = r as its contour")
+    h = im_p_m(lam)
+    split = split_at_sign_changes(contour, im_p_m_crossings(radius, h))
+    mid = np.array([0.5], dtype=QUAD_REAL)
+    signs = [float(np.sign(h - im_p_m(comp.point(mid))[0])) for comp in split.components]
+    return split, signs
+
+
+def _sign_m(bounds: Bounds, target: Tuple[int, int]) -> np.ndarray:
+    """sgn(m - m_t) over the window, m = mu - nu."""
+    (mu_lo, mu_hi), (nu_lo, nu_hi) = bounds
+    mu = np.arange(mu_lo, mu_hi + 1)[:, None]
+    nu = np.arange(nu_lo, nu_hi + 1)[None, :]
+    return np.sign((mu - nu) - (target[0] - target[1]))
+
+
+def _green_values(lam, contour: Contour, target, bounds: Bounds, nodes) -> np.ndarray:
+    split, signs = _level_arcs(lam, contour)
+    dm = _sign_m(bounds, target)
+    products = _arc_products(split, target, bounds, nodes)
+    total = sum((dm + s) * p for s, p in zip(signs, products))
+    return (total / FOUR_PI).astype(complex)
+
+
+def _g0_values(contour: Contour, target, bounds: Bounds, nodes) -> np.ndarray:
+    total = _sign_m(bounds, target) * sum(_arc_products(contour, target, bounds, nodes))
+    return (total / FOUR_PI).astype(complex)
 
 
 def kernel_K(
@@ -180,7 +194,6 @@ def kernel_K(
     nu: int,
     mu_t: int,
     nu_t: int,
-    backend: SphereBackend = SPHERE,
     nodes: Optional[int] = None,
 ) -> complex:
     """Kernel K: the contour integral of the wave differential.
@@ -188,8 +201,7 @@ def kernel_K(
     Vanishes on the diagonal sublattice mu - nu = mu_t - nu_t and is
     annihilated by the five-point operator in (mu, nu).
     """
-    ev = _ContourEvaluator(backend, contour, (mu_t, nu_t), "g0", nodes=nodes)
-    return ev.kernel(mu, nu)
+    return complex(sum(_arc_products(contour, (mu_t, nu_t), _point(mu, nu), nodes))[0, 0])
 
 
 def g0(
@@ -198,12 +210,10 @@ def g0(
     nu: int,
     mu_t: int,
     nu_t: int,
-    backend: SphereBackend = SPHERE,
     nodes: Optional[int] = None,
 ) -> complex:
     """Unnormalized Green's function sgn(m - mt) K / (4 pi) on the contour."""
-    ev = _ContourEvaluator(backend, contour, (mu_t, nu_t), "g0", nodes=nodes)
-    return ev.value(mu, nu)
+    return complex(_g0_values(contour, (mu_t, nu_t), _point(mu, nu), nodes)[0, 0])
 
 
 def green(
@@ -213,12 +223,10 @@ def green(
     mu_t: int,
     nu_t: int,
     nodes: int = DEFAULT_NODES,
-    backend: SphereBackend = SPHERE,
 ) -> complex:
     """Normalized Green's function at lambda by direct weighted quadrature."""
-    contour = backend.c_contour(lam, nodes)
-    ev = _ContourEvaluator(backend, contour, (mu_t, nu_t), "green", lam=lam, nodes=nodes)
-    return ev.value(mu, nu)
+    values = _green_values(lam, c_contour(lam, nodes), (mu_t, nu_t), _point(mu, nu), nodes)
+    return complex(values[0, 0])
 
 
 def z_correction(
@@ -228,49 +236,48 @@ def z_correction(
     mu_t: int,
     nu_t: int,
     nodes: int = DEFAULT_NODES,
-    backend: SphereBackend = SPHERE,
 ) -> complex:
     """The correction term with weight sgn(im_p_m(lam) - im_p_m(z)) only.
 
     Its integration path does not depend on the lattice indices, so L
     annihilates it; green = g0 + z_correction on the same contour.
     """
-    contour = backend.c_contour(lam, nodes)
-    h_lam = backend.im_p_m(lam)
-    split = split_at_sign_changes(contour, lambda z: h_lam - backend.im_p_m(z))
-    ev = _ContourEvaluator(backend, split, (mu_t, nu_t), "g0", nodes=nodes)
-    m, n = from_sublattice(mu, nu)
-    total = QUAD_DTYPE(0)
-    for i, z in enumerate(ev._z):
-        weight = np.sign(h_lam - backend.im_p_m(z))
-        total = total + np.sum(weight * backend.psi(z, m, n) * ev._base[i])
-    return complex(total / FOUR_PI)
+    split, signs = _level_arcs(lam, c_contour(lam, nodes))
+    products = _arc_products(split, (mu_t, nu_t), _point(mu, nu), nodes)
+    return complex(sum(s * p for s, p in zip(signs, products))[0, 0] / FOUR_PI)
 
 
 @dataclass
 class GreenTable:
     """Computed Green's-function values over a lattice window.
 
-    ``values`` maps (mu, nu) to the complex value for the fixed target
-    (mu_t, nu_t); ``metadata`` records lambda, node counts, the contour
+    ``values`` is a 2-D complex ndarray for the fixed target (mu_t, nu_t),
+    indexed ``values[mu - mu_lo, nu - nu_lo]`` with ``mu_range =
+    (mu_lo, mu_hi)`` and ``nu_range = (nu_lo, nu_hi)``; ``table[(mu, nu)]``
+    reads one entry.  ``metadata`` records lambda, node counts, the contour
     and the node-halving error estimate when requested.
     """
 
     target: Tuple[int, int]
     mu_range: Tuple[int, int]
     nu_range: Tuple[int, int]
-    values: Dict[Tuple[int, int], complex]
+    values: np.ndarray
     metadata: Dict = field(default_factory=dict)
 
     def __getitem__(self, key: Tuple[int, int]) -> complex:
-        return self.values[key]
+        mu, nu = key
+        (mu_lo, mu_hi), (nu_lo, nu_hi) = self.mu_range, self.nu_range
+        if not (mu_lo <= mu <= mu_hi and nu_lo <= nu <= nu_hi):
+            raise KeyError(key)
+        return complex(self.values[mu - mu_lo, nu - nu_lo])
 
     def rows(self) -> List[Tuple[int, int, int, int, float, float]]:
         mu_t, nu_t = self.target
+        mu_lo, nu_lo = self.mu_range[0], self.nu_range[0]
         out = []
-        for (mu, nu) in sorted(self.values):
-            v = self.values[(mu, nu)]
-            out.append((mu, nu, mu_t, nu_t, v.real, v.imag))
+        for i, (re_row, im_row) in enumerate(zip(self.values.real.tolist(), self.values.imag.tolist())):
+            for j, (re, im) in enumerate(zip(re_row, im_row)):
+                out.append((mu_lo + i, nu_lo + j, mu_t, nu_t, re, im))
         return out
 
     def write_csv(self, path) -> None:
@@ -316,7 +323,6 @@ def green_table(
     lam: Optional[SpherePoint] = None,
     kind: str = "green",
     nodes: int = DEFAULT_NODES,
-    backend: SphereBackend = SPHERE,
     contour: Optional[Contour] = None,
     error_estimate: bool = False,
 ) -> GreenTable:
@@ -328,55 +334,40 @@ def green_table(
     separating contour otherwise.  ``error_estimate`` recomputes the table
     at half the node count and stores the max difference in the metadata.
     """
-    (mu_lo, mu_hi), (nu_lo, nu_hi) = _window_bounds(window, target)
-    contour_info: Dict = {}
+    if kind not in ("green", "g0"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind == "green" and lam is None:
+        raise ValueError("normalized green needs lambda")
+    bounds = _window_bounds(window, target)
 
-    def build(n: int) -> Dict[Tuple[int, int], complex]:
-        if kind == "green":
-            ctr = backend.c_contour(lam, n) if contour is None else contour
-            ev = _ContourEvaluator(backend, ctr, target, "green", lam=lam, nodes=n)
+    def build(n: int) -> Tuple[Contour, np.ndarray]:
+        if contour is not None:
+            ctr = contour
+        elif lam is not None:
+            ctr = c_contour(lam, n)
         else:
-            if contour is not None:
-                ctr = contour
-            elif lam is not None:
-                ctr = backend.c_contour(lam, n)
-            else:
-                ctr = backend.default_kernel_contour(n)
-            ev = _ContourEvaluator(backend, ctr, target, "g0", nodes=n)
-        for key in ("chart_radius", "deformed", "critical_level", "default_kernel"):
-            if key in ctr.metadata:
-                contour_info[key] = ctr.metadata[key]
-        vals: Dict[Tuple[int, int], complex] = {}
-        for mu in range(mu_lo, mu_hi + 1):
-            for nu in range(nu_lo, nu_hi + 1):
-                vals[(mu, nu)] = ev.value(mu, nu)
-        return vals
+            ctr = default_kernel_contour(n)
+        if kind == "green":
+            return ctr, _green_values(lam, ctr, target, bounds, n)
+        return ctr, _g0_values(ctr, target, bounds, n)
 
-    values = build(nodes)
+    ctr, values = build(nodes)
+    contour_info = {
+        key: ctr.metadata[key]
+        for key in ("chart_radius", "deformed", "critical_level", "default_kernel")
+        if key in ctr.metadata
+    }
     meta: Dict = {"kind": kind, "nodes": nodes, "contour": contour_info}
     meta.update(_lambda_meta(lam))
     if error_estimate:
-        coarse = build(max(16, nodes // 2))
-        meta["est_error"] = max(abs(values[k] - coarse[k]) for k in values)
-    table = GreenTable(
+        _, coarse = build(max(16, nodes // 2))
+        meta["est_error"] = float(np.max(np.abs(values - coarse)))
+    return GreenTable(
         target=tuple(target),
-        mu_range=(mu_lo, mu_hi),
-        nu_range=(nu_lo, nu_hi),
+        mu_range=bounds[0],
+        nu_range=bounds[1],
         values=values,
         metadata=meta,
-    )
-    return table
-
-
-def _apply_L(table: GreenTable, backend, mu: int, nu: int) -> complex:
-    co = coefficients_from_f(backend.f, mu, nu)
-    v = table.values
-    return (
-        co.a_right * v[(mu + 1, nu)]
-        + co.a_left * v[(mu - 1, nu)]
-        + co.b_up * v[(mu, nu + 1)]
-        + co.b_down * v[(mu, nu - 1)]
-        - co.c * v[(mu, nu)]
     )
 
 
@@ -386,7 +377,6 @@ def verify_delta(
     nodes: int = DEFAULT_NODES,
     kind: str = "green",
     target: Tuple[int, int] = (0, 0),
-    backend: SphereBackend = SPHERE,
 ) -> float:
     """Max over the window of |L G - delta| for G at lambda.
 
@@ -394,21 +384,26 @@ def verify_delta(
     inside; L is applied at every point of the requested window.
     """
     (mu_lo, mu_hi), (nu_lo, nu_hi) = _window_bounds(window, target)
-    table = green_table(
+    v = green_table(
         ((mu_lo - 1, mu_hi + 1), (nu_lo - 1, nu_hi + 1)),
         target=target,
         lam=lam,
         kind=kind,
         nodes=nodes,
-        backend=backend,
+    ).values
+    mu = np.arange(mu_lo, mu_hi + 1)[:, None]
+    nu = np.arange(nu_lo, nu_hi + 1)[None, :]
+    co = np.array([[astuple(coefficients_from_f(f, i, j)) for j in nu[0]] for i in mu[:, 0]])
+    a_right, a_left, b_up, b_down, c = np.moveaxis(co, -1, 0)
+    lg = (
+        a_right * v[2:, 1:-1]
+        + a_left * v[:-2, 1:-1]
+        + b_up * v[1:-1, 2:]
+        + b_down * v[1:-1, :-2]
+        - c * v[1:-1, 1:-1]
     )
-    worst = 0.0
-    for mu in range(mu_lo, mu_hi + 1):
-        for nu in range(nu_lo, nu_hi + 1):
-            lg = _apply_L(table, backend, mu, nu)
-            want = 1.0 if (mu, nu) == tuple(target) else 0.0
-            worst = max(worst, abs(lg - want))
-    return worst
+    delta = (mu == target[0]) & (nu == target[1])
+    return float(np.max(np.abs(lg - delta)))
 
 
 def growth_check(
@@ -418,7 +413,6 @@ def growth_check(
     cap: float = math.inf,
     kind: str = "green",
     target: Tuple[int, int] = (0, 0),
-    backend: SphereBackend = SPHERE,
 ) -> Tuple[float, int]:
     """Fit the growth-bound constant over a window.
 
@@ -429,38 +423,31 @@ def growth_check(
     normalized green the fit stabilizes as the window grows; the bare g0
     has no such bound and the fit diverges with the window size.
     """
-    (mu_lo, mu_hi), (nu_lo, nu_hi) = _window_bounds(window, target)
-    rate_mu = backend.im_p_n(lam) + backend.im_p_m(lam)
-    rate_nu = backend.im_p_n(lam) - backend.im_p_m(lam)
-    mu_t, nu_t = target
-    table = green_table(window, target=target, lam=lam, kind=kind, nodes=nodes, backend=backend)
-    fitted = 0.0
-    violations = 0
-    for (mu, nu), v in table.values.items():
-        envelope = math.exp((mu - mu_t) * rate_mu + (nu - nu_t) * rate_nu)
-        ratio = abs(v) / envelope
-        fitted = max(fitted, ratio)
-        if ratio > cap:
-            violations += 1
-    return fitted, violations
+    rate_mu = im_p_n(lam) + im_p_m(lam)
+    rate_nu = im_p_n(lam) - im_p_m(lam)
+    table = green_table(window, target=target, lam=lam, kind=kind, nodes=nodes)
+    (mu_lo, mu_hi), (nu_lo, nu_hi) = table.mu_range, table.nu_range
+    d_mu = np.arange(mu_lo, mu_hi + 1)[:, None] - target[0]
+    d_nu = np.arange(nu_lo, nu_hi + 1)[None, :] - target[1]
+    ratio = np.abs(table.values) / np.exp(d_mu * rate_mu + d_nu * rate_nu)
+    return float(ratio.max()), int(np.count_nonzero(ratio > cap))
 
 
 def residue_lemma_Q(
     mu: int,
     nu: int,
-    backend: SphereBackend = SPHERE,
     radius: Optional[float] = None,
     nodes: int = 256,
 ) -> complex:
     """Residue at Q+ of a[mu, nu] * omega_tilde(mu+1, nu; mu, nu); expected i."""
-    a = coefficients_from_f(backend.f, mu, nu).a_right
-    ev = WaveDifferential.from_sublattice(backend, mu + 1, nu, mu, nu)
+    a = coefficients_from_f(f, mu, nu).a_right
+    ev = WaveDifferential.from_sublattice(mu + 1, nu, mu, nu)
     return residue(
         lambda z: a * ev(z),
-        backend.Q_plus,
+        Q_PLUS,
         radius=radius,
         nodes=nodes,
-        isolation_points=_finite_points(backend.marked_points()),
+        isolation_points=_FINITE_MARKED_POINTS,
     )
 
 
@@ -469,7 +456,6 @@ def residue_lemma_P(
     nu: int,
     mu_t: int,
     nu_t: int,
-    backend: SphereBackend = SPHERE,
     radius: Optional[float] = None,
     nodes: int = 256,
 ) -> float:
@@ -485,24 +471,14 @@ def residue_lemma_P(
             f"diagonal hypothesis violated: mu - nu = {mu - nu} but "
             f"mu_t - nu_t = {mu_t - nu_t}"
         )
-    co = coefficients_from_f(backend.f, mu, nu)
-    ev1 = WaveDifferential.from_sublattice(backend, mu + 1, nu, mu_t, nu_t)
-    ev2 = WaveDifferential.from_sublattice(backend, mu, nu - 1, mu_t, nu_t)
+    co = coefficients_from_f(f, mu, nu)
+    ev1 = WaveDifferential.from_sublattice(mu + 1, nu, mu_t, nu_t)
+    ev2 = WaveDifferential.from_sublattice(mu, nu - 1, mu_t, nu_t)
     total = residue(
         lambda z: co.a_right * ev1(z) + co.b_down * ev2(z),
-        backend.P_plus,
+        P_PLUS,
         radius=radius,
         nodes=nodes,
-        isolation_points=_finite_points(backend.marked_points()),
+        isolation_points=_FINITE_MARKED_POINTS,
     )
     return abs(total)
-
-
-def _finite_points(points: Iterable) -> List[complex]:
-    out = []
-    for p in points:
-        try:
-            out.append(complex(p))
-        except TypeError:
-            continue
-    return out

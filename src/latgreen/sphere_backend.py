@@ -33,7 +33,6 @@ exactly the orientation giving the quasimomentum integral +2 pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -73,8 +72,9 @@ __all__ = [
     "c_contour",
     "level_circle_contour",
     "default_kernel_contour",
-    "SphereBackend",
-    "SPHERE",
+    "f",
+    "psi_power_tables",
+    "im_p_m_crossings",
     "DEFAULT_KERNEL_RADIUS",
     "CRITICAL_LEVEL_BAND",
     "FALLBACK_RADIUS",
@@ -149,6 +149,11 @@ def tau(z: SpherePoint) -> SpherePoint:
     return 1.0 / zc.conjugate()
 
 
+def f(m: int, n: int) -> float:
+    """The lattice function: f == 1, so the five-point coefficients are a = b = 1, c = 4."""
+    return 1.0
+
+
 def _ipow(base, k: int):
     """base**k for integer k >= 0 by binary exponentiation (no logs, no cuts)."""
     result = None
@@ -205,6 +210,32 @@ def psi_dual(z: SpherePoint, m: int, n: int):
     if isinstance(z, np.ndarray):
         return psi(-z, m, n)
     return psi(sigma(z), m, n)
+
+
+def _power_table(num: np.ndarray, den: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    rows = np.empty((hi - lo + 1,) + num.shape, dtype=num.dtype)
+    rows[0] = _ratio_pow(num, den, lo)
+    ratio = num / den
+    for i in range(1, hi - lo + 1):
+        rows[i] = rows[i - 1] * ratio
+    return rows
+
+
+def psi_power_tables(
+    z: np.ndarray, mu_range: Tuple[int, int], nu_range: Tuple[int, int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Factor psi over a sublattice window into two power tables.
+
+    With A = (z+1)/(z-1) and B = (z+i)/(z-i), psi(z, mu - nu, mu + nu) =
+    U**mu * V**nu for U = A B and V = B / A.  Returns ``(Up, Vp)`` with
+    ``Up[i] = U**(mu_lo + i)`` and ``Vp[j] = V**(nu_lo + j)`` at every point
+    of ``z`` (rows are exponents, columns are points): one binary power for
+    the lowest exponent, then one product per further row.
+    """
+    return (
+        _power_table((z + 1.0) * (z + 1j), (z - 1.0) * (z - 1j), *mu_range),
+        _power_table((z - 1.0) * (z + 1j), (z + 1.0) * (z - 1j), *nu_range),
+    )
 
 
 def omega_coeff(z: SpherePoint):
@@ -274,6 +305,24 @@ def im_p_n(z: SpherePoint):
     if zc == Q_MINUS:
         return -math.inf
     return math.log(abs(zc + 1j)) - math.log(abs(zc - 1j))
+
+
+def im_p_m_crossings(radius: float, h: float) -> np.ndarray:
+    """Parameters t in [0, 1) where im_p_m = h on the level circle |w| = radius.
+
+    On w = r exp(-2 pi i t) (see :func:`level_circle_contour`),
+    |z + 1| / |z - 1| = |1 + i w| / |w + i|, so im_p_m(z) = h exactly where
+    sin(arg w) = -(1 + r**2) tanh(h) / (2 r).  Returns the two crossings,
+    sorted, in ``QUAD_REAL``; none when that right-hand side has modulus
+    >= 1, where im_p_m - h keeps one sign on the whole circle.
+    """
+    r = QUAD_REAL(radius)
+    s = -(1 + r * r) * np.tanh(QUAD_REAL(h)) / (2 * r)
+    if not abs(s) < 1:
+        return np.empty(0, dtype=QUAD_REAL)
+    phi = np.arcsin(s)
+    phis = np.array([phi, TWO_PI_Q / 2 - phi], dtype=QUAD_REAL)
+    return np.sort(np.mod(-phis / TWO_PI_Q, QUAD_REAL(1)))
 
 
 def mobius_w(z: SpherePoint):
@@ -360,61 +409,3 @@ def default_kernel_contour(nodes: int = DEFAULT_NODES) -> Contour:
     contour = level_circle_contour(DEFAULT_KERNEL_RADIUS, nodes)
     contour.metadata.update({"default_kernel": True})
     return contour
-
-
-@dataclass(frozen=True)
-class SphereBackend:
-    """Bundles the sphere data as the spectral-backend interface.
-
-    All methods are stateless wrappers over the module functions; the
-    object exists so Green's-function assembly can stay backend-agnostic.
-    """
-
-    P_plus: complex = P_PLUS
-    P_minus: complex = P_MINUS
-    Q_plus: complex = Q_PLUS
-    Q_minus: complex = Q_MINUS
-    R_plus: SpherePoint = R_PLUS
-    R_minus: complex = R_MINUS
-
-    def psi(self, z, m: int, n: int):
-        return psi(z, m, n)
-
-    def psi_dual(self, z, m: int, n: int):
-        return psi_dual(z, m, n)
-
-    def omega_coeff(self, z):
-        return omega_coeff(z)
-
-    def dp_m_coeff(self, z):
-        return dp_m_coeff(z)
-
-    def dp_n_coeff(self, z):
-        return dp_n_coeff(z)
-
-    def im_p_m(self, z):
-        return im_p_m(z)
-
-    def im_p_n(self, z):
-        return im_p_n(z)
-
-    def sigma(self, z):
-        return sigma(z)
-
-    def tau(self, z):
-        return tau(z)
-
-    def f(self, m: int, n: int) -> float:
-        return 1.0
-
-    def marked_points(self) -> Tuple[SpherePoint, ...]:
-        return MARKED_POINTS
-
-    def c_contour(self, lam, nodes: int = DEFAULT_NODES, deform_critical: bool = True) -> Contour:
-        return c_contour(lam, nodes, deform_critical)
-
-    def default_kernel_contour(self, nodes: int = DEFAULT_NODES) -> Contour:
-        return default_kernel_contour(nodes)
-
-
-SPHERE = SphereBackend()

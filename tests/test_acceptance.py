@@ -33,7 +33,7 @@ from latgreen import (
     to_sublattice,
     verify_delta,
 )
-from latgreen.sphere_backend import SPHERE, c_contour
+from latgreen.sphere_backend import c_contour, f
 
 from conftest import brute_theta, random_jacobian_data, random_period_matrix
 
@@ -188,13 +188,13 @@ def test_criterion_8_four_five_point_consistency():
     """Sampled wave function satisfies both lattice equations to 1e-12."""
     z0 = 2.0 + 0.0j
     field = LatticeField.from_function((-6, 6), (-6, 6), lambda m, n: psi(z0, m, n))
-    res4 = check_four_point(field, SPHERE.f)
+    res4 = check_four_point(field, f)
     assert res4 < 1e-12
 
     phi = LatticeField.from_function(
         (-4, 4), (-4, 4), lambda mu, nu: psi(z0, mu - nu, mu + nu)
     )
-    coeffs = lambda mu, nu: coefficients_from_f(SPHERE.f, mu, nu)
+    coeffs = lambda mu, nu: coefficients_from_f(f, mu, nu)
     res5 = 0.0
     for mu in range(-3, 4):
         for nu in range(-3, 4):

@@ -67,13 +67,16 @@ def test_green_table_requires_lambda_without_g0(tmp_path, capsys):
 
 
 def test_green_table_rejects_theta_backend(tmp_path, rng):
+    # tables need level-set geometry, which theta data lacks: green-table
+    # takes no --backend, and the parser rejects it with exit code 2
     from latgreen import save_jacobian_data
 
     data_path = tmp_path / "data.json"
     save_jacobian_data(random_jacobian_data(rng, 1), data_path)
-    code = run(["green-table", "--backend", str(data_path), "--g0",
-                "--out", str(tmp_path / "x.csv")])
-    assert code == 2
+    with pytest.raises(SystemExit) as info:
+        run(["green-table", "--backend", str(data_path), "--g0",
+             "--out", str(tmp_path / "x.csv")])
+    assert info.value.code == 2
 
 
 def test_green_table_json_format(tmp_path):
@@ -115,10 +118,23 @@ def test_nodes_lower_bound_rejected(tmp_path):
 
 
 def test_tol_gate_warns_on_large_estimate(tmp_path, capsys):
-    code = run(["green-table", "--lambda", "2+2i", "--window", "2", "--nodes", "64",
-                "--tol", "1e-30", "--out", str(tmp_path / "t.csv")])
-    assert code == 0
+    # an estimate above --tol fails the run (exit 1) after writing the table
+    args = ["green-table", "--lambda", "2+2i", "--window", "2", "--nodes", "64"]
+    out = tmp_path / "t.csv"
+    assert run(args + ["--tol", "1e-30", "--out", str(out)]) == 1
     assert "exceeds --tol" in capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 26
+    assert run(args + ["--tol", "1.0", "--out", str(out)]) == 0
+    assert "exceeds --tol" not in capsys.readouterr().err
+
+
+def test_negative_values_as_separate_arguments(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ["green-table", "--window", "1", "--nodes", "64"]
+    assert run(args + ["--target", "-2,-2", "--lambda", "-1+2i", "--out", str(a)]) == 0
+    assert run(args + ["--target=-2,-2", "--lambda=-1+2i", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert a.read_text().splitlines()[1].startswith("-3,-3,-2,-2,")
 
 
 def test_map_grid_lower_bound(tmp_path):

@@ -15,15 +15,17 @@ from latgreen import (
     green,
     green_table,
     growth_check,
+    im_p_m,
     kernel_K,
     residue,
     residue_lemma_P,
     residue_lemma_Q,
+    split_at_sign_changes,
     to_sublattice,
     verify_delta,
     z_correction,
 )
-from latgreen.sphere_backend import SPHERE, Q_PLUS, level_circle_contour
+from latgreen.sphere_backend import Q_PLUS, im_p_m_crossings, level_circle_contour
 
 FOUR_PI = 4.0 * math.pi
 
@@ -134,6 +136,53 @@ def test_green_decomposes_into_g0_plus_correction():
         assert direct == pytest.approx(parts, abs=1e-9)
 
 
+def test_green_close_weight_flips_against_mpmath():
+    # the two sign flips of the weight lie 0.0013 of the circle apart; the
+    # reference finds them with mpmath from brackets of a fine float scan,
+    # then integrates (sgn(m) + s_arc) psi Omega on each arc with mp.quad
+    import mpmath as mp
+
+    lam = -0.7156347228670334 + 0.6943503066555872j
+    contour = c_contour(lam)
+    r, h = contour.metadata["chart_radius"], im_p_m(lam)
+    ts = im_p_m_crossings(r, h)
+    assert len(split_at_sign_changes(contour, ts).components) == 2
+
+    def z_of(t):
+        w = r * mp.exp(-2j * mp.pi * t)
+        return 1j * (1 + w) / (1 - w), w
+
+    def level(t):
+        z, _ = z_of(t)
+        return mp.log(abs(z + 1)) - mp.log(abs(z - 1)) - h
+
+    grid = np.arange(2**16) / 2**16
+    w = r * np.exp(-2j * np.pi * grid)
+    z = 1j * (1 + w) / (1 - w)
+    above = np.log(np.abs(z + 1)) - np.log(np.abs(z - 1)) > h
+    flips = np.nonzero(above != np.roll(above, -1))[0]
+    with mp.workdps(30):
+        roots = sorted(mp.findroot(level, (grid[k], grid[k] + 2.0**-16), solver="anderson")
+                       for k in flips)
+        assert len(roots) == 2
+        assert [float(x) for x in roots] == pytest.approx([float(t) for t in ts], abs=1e-15)
+        for mu, nu in [(0, 0), (2, -1)]:
+            m, n = mu - nu, mu + nu
+            want = 0
+            for a, b in [(roots[0], roots[1]), (roots[1], roots[0] + 1)]:
+                s = -mp.sign(level((a + b) / 2))
+
+                def integrand(t):
+                    z, w = z_of(t)
+                    dz = 2j / (1 - w) ** 2 * (-2j * mp.pi * w)
+                    psi_mn = ((z + 1) / (z - 1)) ** m * ((z + 1j) / (z - 1j)) ** n
+                    return (mp.sign(m) + s) * psi_mn * (-0.5 / z) * dz
+
+                want += mp.quad(integrand, [a, b]) / (4 * mp.pi)
+            got = green(lam, mu, nu, 0, 0)
+            assert abs(got - complex(want)) < 1e-10 * abs(complex(want)), (mu, nu)
+
+
 def test_green_offset_target():
     # delta lands on a shifted target
     assert verify_delta(1 + 0.5j, 2, kind="green", target=(2, -1)) < 1e-8
@@ -162,11 +211,11 @@ def test_correction_annihilated_by_five_point():
 def test_wave_differential_evaluates_pointwise():
     from latgreen import omega_coeff, psi, psi_dual
 
-    ev = WaveDifferential(SPHERE, 3, -1, 1, 1)
+    ev = WaveDifferential(3, -1, 1, 1)
     for z in (0.4 + 0.2j, 2.0 - 1.0j, -0.7j + 0.1):
         want = psi(z, 3, -1) * psi_dual(z, 1, 1) * omega_coeff(z)
         assert ev(z) == pytest.approx(want, rel=1e-14)
-    by_site = WaveDifferential.from_sublattice(SPHERE, 1, -2, 1, 0)
+    by_site = WaveDifferential.from_sublattice(1, -2, 1, 0)
     assert (by_site.m, by_site.n, by_site.m_t, by_site.n_t) == (3, -1, 1, 1)
 
 
@@ -210,7 +259,7 @@ def test_residue_lemma_Q_reference_and_random(rng):
 
 def test_residue_lemma_Q_proof_step():
     # res at Q+ of psi(m, n+1) psi_dual(m, n) Omega is -1
-    ev = WaveDifferential(SPHERE, 0, 1, 0, 0)
+    ev = WaveDifferential(0, 1, 0, 0)
     assert residue(ev, Q_PLUS, radius=0.3) == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -232,7 +281,8 @@ def test_residue_lemma_P_hypothesis_enforced():
 
 def test_table_shape_and_metadata(tmp_path):
     table = green_table(2, target=(1, -1), lam=2 + 2j, kind="green", error_estimate=True)
-    assert len(table.values) == 25
+    assert table.values.shape == (5, 5)
+    assert table[(3, -3)] == table.values[4, 0]
     assert table.mu_range == (-1, 3)
     assert table.nu_range == (-3, 1)
     assert table.metadata["kind"] == "green"
@@ -240,7 +290,7 @@ def test_table_shape_and_metadata(tmp_path):
     assert table.metadata["est_error"] < 1e-9
     assert table.metadata["contour"]["deformed"] is False
     assert table.metadata["contour"]["chart_radius"] == pytest.approx(math.sqrt(5 / 13))
-    assert all(np.isfinite(v) for v in table.values.values())
+    assert np.all(np.isfinite(table.values))
 
     csv_path = tmp_path / "t.csv"
     table.write_csv(csv_path)

@@ -30,6 +30,8 @@ from latgreen.sphere_backend import (
     Q_MINUS,
     Q_PLUS,
     R_MINUS,
+    im_p_m_crossings,
+    level_circle_contour,
     mobius_w,
 )
 
@@ -225,6 +227,20 @@ def test_c_contour_raw_critical_level_is_real_axis():
     t = (np.arange(64) + 0.5) / 64
     z = contour.components[0].point(t)
     assert float(np.max(np.abs(np.imag(z.astype(complex))))) < 1e-12
+
+
+def test_im_p_m_crossings_are_level_points():
+    for r, h in [(0.5, 0.0), (0.62, 0.478), (2.0, -1.3), (0.3, 0.7), (1.6, 2.0)]:
+        comp = level_circle_contour(r).components[0]
+        ts = im_p_m_crossings(r, h)
+        if ts.size:
+            assert ts.size == 2 and 0 <= ts[0] < ts[1] < 1
+            assert im_p_m(comp.point(ts)) == pytest.approx([h, h], abs=1e-15)
+        else:
+            # no crossing: im_p_m - h keeps one sign on the whole circle
+            side = np.sign(im_p_m(comp.point(np.arange(256) / 256.0)) - h)
+            assert abs(side.sum()) == 256
+    assert im_p_m_crossings(0.5, math.inf).size == 0
 
 
 def test_c_contour_level_matches_lambda():
