@@ -14,6 +14,7 @@ from .lattice_core import (
     ParityError,
     SingularCoefficientError,
     WindowError,
+    apply_L,
     apply_five_point,
     check_four_point,
     coefficients_from_f,

@@ -9,6 +9,7 @@ re/im columns, and identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -28,7 +29,7 @@ from .green_function import (
     residue_lemma_Q,
     verify_delta,
 )
-from .lattice_core import LatticeField, apply_five_point, check_four_point, coefficients_from_f
+from .lattice_core import LatticeField, apply_L, check_four_point, coefficients_from_f
 from .sphere_backend import (
     INFINITY,
     DegenerateContourError,
@@ -62,21 +63,24 @@ def _default_nodes() -> int:
     if raw is None:
         return DEFAULT_NODES
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
-        raise SystemExit(f"GREEN_NODES={raw!r} is not an integer")
-    return value
+        raise ValueError(f"GREEN_NODES={raw!r} is not an integer") from None
 
 
 def parse_point(text: str):
-    """Parse 'a+bi', 're,im' or 'inf' into a sphere point."""
+    """Parse 'a+bi', 're,im' or 'inf' into a sphere point; NaN or other infinities raise."""
     s = text.strip().lower()
     if s in ("inf", "infinity"):
         return INFINITY
     if "," in s:
         re_s, im_s = s.split(",", 1)
-        return complex(float(re_s), float(im_s))
-    return complex(s.replace("i", "j"))
+        z = complex(float(re_s), float(im_s))
+    else:
+        z = complex(s.replace("i", "j"))
+    if not cmath.isfinite(z):
+        raise ValueError(f"{text!r} is not a finite point (use 'inf' for infinity)")
+    return z
 
 
 def _parse_target(text: str) -> Tuple[int, int]:
@@ -87,8 +91,9 @@ def _parse_target(text: str) -> Tuple[int, int]:
 def _check_config(args) -> None:
     if args.nodes < 16:
         raise ValueError(f"--nodes must be >= 16, got {args.nodes}")
-    if getattr(args, "tol", 1.0) is not None and getattr(args, "tol", 1.0) <= 0:
-        raise ValueError("--tol must be positive")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not tol > 0:
+        raise ValueError(f"--tol must be positive, got {tol}")
     if getattr(args, "window", 1) is not None and getattr(args, "window", 1) < 0:
         raise ValueError("--window must be nonnegative")
 
@@ -157,12 +162,8 @@ def _sphere_checks(nodes: int, flip_orientation: bool) -> List[_Check]:
     phi = LatticeField.from_function(
         (-4, 4), (-4, 4), lambda mu, nu: psi(z0, mu - nu, mu + nu)
     )
-    worst5 = max(
-        abs(apply_five_point(phi, lambda mu, nu: coefficients_from_f(f, mu, nu), mu, nu))
-        for mu in range(-3, 4)
-        for nu in range(-3, 4)
-    )
-    checks.append(_Check("five_point", worst5, 1e-12))
+    lphi = apply_L(phi, lambda mu, nu: coefficients_from_f(f, mu, nu))
+    checks.append(_Check("five_point", float(np.max(np.abs(lphi.values))), 1e-12))
 
     # kernel vanishes on the diagonal sublattice
     contour = default_kernel_contour(nodes)
@@ -376,8 +377,8 @@ def _attach_negative_values(argv: List[str]) -> List[str]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_negative_values(list(argv)))
     try:
+        args = build_parser().parse_args(_attach_negative_values(list(argv)))
         return args.func(args)
     except DegenerateContourError as exc:
         print(f"degenerate contour: {exc}", file=sys.stderr)

@@ -3,8 +3,10 @@
 Everything is built from the differential
 
     omega_tilde(z; m, n, mt, nt) = psi(z, m, n) * psi_dual(z, mt, nt) * Omega
+                                 = psi(z, m - mt, n - nt) * Omega
 
-integrated over C-contours.  The kernel ``K = contour integral of
+integrated over C-contours; it depends only on the offset from the target,
+so values are computed over offsets.  The kernel ``K = contour integral of
 omega_tilde`` is annihilated by the five-point operator L in (mu, nu) and
 vanishes whenever mu - nu = mt - nt.  From it,
 
@@ -32,7 +34,7 @@ the weight is exactly 0 on one arc and the K + Z form cancels digits there.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -46,7 +48,7 @@ from .contour_quadrature import (
     residue,
     split_at_sign_changes,
 )
-from .lattice_core import coefficients_from_f, from_sublattice
+from .lattice_core import LatticeField, apply_L, coefficients_from_f, from_sublattice
 from .sphere_backend import (
     INFINITY,
     MARKED_POINTS,
@@ -61,7 +63,6 @@ from .sphere_backend import (
     im_p_n,
     omega_coeff,
     psi,
-    psi_dual,
     psi_power_tables,
 )
 
@@ -89,7 +90,7 @@ Window = Union[int, Bounds]
 
 @dataclass(frozen=True)
 class WaveDifferential:
-    """The differential psi(z, m, n) psi_dual(z, mt, nt) Omega as an evaluator."""
+    """The differential psi(z, m, n) psi_dual(z, mt, nt) Omega = psi(z, m - mt, n - nt) Omega."""
 
     m: int
     n: int
@@ -103,7 +104,7 @@ class WaveDifferential:
         return cls(m, n, mt, nt)
 
     def __call__(self, z):
-        return psi(z, self.m, self.n) * psi_dual(z, self.m_t, self.n_t) * omega_coeff(z)
+        return psi(z, self.m - self.m_t, self.n - self.n_t) * omega_coeff(z)
 
 
 def _window_bounds(window: Window, target: Tuple[int, int]) -> Bounds:
@@ -118,30 +119,33 @@ def _window_bounds(window: Window, target: Tuple[int, int]) -> Bounds:
     return (int(mu_lo), int(mu_hi)), (int(nu_lo), int(nu_hi))
 
 
-def _point(mu: int, nu: int) -> Bounds:
-    return (mu, mu), (nu, nu)
+def _offsets(bounds: Bounds, target: Tuple[int, int]) -> Bounds:
+    """A window relative to its target: (mu - mu_t, nu - nu_t) ranges."""
+    (mu_lo, mu_hi), (nu_lo, nu_hi) = bounds
+    mu_t, nu_t = target
+    return (mu_lo - mu_t, mu_hi - mu_t), (nu_lo - nu_t, nu_hi - nu_t)
 
 
-def _arc_products(
-    contour: Contour, target: Tuple[int, int], bounds: Bounds, nodes: Optional[int] = None
-) -> List[np.ndarray]:
-    """Per component, the integrals of the wave differential over a window.
+def _point(dmu: int, dnu: int) -> Bounds:
+    return (dmu, dmu), (dnu, dnu)
+
+
+def _arc_products(contour: Contour, offsets: Bounds) -> List[np.ndarray]:
+    """Per component, the integrals of the wave differential over offsets.
 
     ``P[i, j]`` is the integral along the component (orientation included)
-    of psi(z, m, n) psi_dual(z, mt, nt) Omega at (mu, nu) =
-    (mu_lo + i, nu_lo + j), in extended precision.  ``base`` = psi_dual *
-    Omega * velocity * quadrature weights is sampled once per component;
-    with psi = U**mu V**nu the window is ``P = (Up * base) @ Vp.T``.  A
-    single point is a 1 x 1 window.
+    of psi(z, dm, dn) Omega at the offset (dmu, dnu) = (dmu_lo + i,
+    dnu_lo + j), dm = dmu - dnu, dn = dmu + dnu, in extended precision.
+    ``base`` = Omega * velocity * quadrature weights is sampled once per
+    component; with psi = U**dmu V**dnu the window is
+    ``P = (Up * base) @ Vp.T``.  A single point is a 1 x 1 window.
     """
-    n = int(nodes) if nodes is not None else contour.nodes_per_component
-    m_t, n_t = from_sublattice(*target)
     products = []
     for comp in contour.components:
-        t, w = _component_rule(comp, n)
+        t, w = _component_rule(comp, contour.nodes_per_component)
         z = comp.point(t)
-        base = psi_dual(z, m_t, n_t) * omega_coeff(z) * comp.velocity(t) * w * contour.orientation_sign
-        up, vp = psi_power_tables(z, *bounds)
+        base = omega_coeff(z) * comp.velocity(t) * w * contour.orientation_sign
+        up, vp = psi_power_tables(z, *offsets)
         up *= base
         products.append(up @ vp.T)
         # free this component's tables before the next one builds its own
@@ -167,53 +171,39 @@ def _level_arcs(lam: SpherePoint, contour: Contour) -> Tuple[Contour, List[float
     return split, signs
 
 
-def _sign_m(bounds: Bounds, target: Tuple[int, int]) -> np.ndarray:
-    """sgn(m - m_t) over the window, m = mu - nu."""
-    (mu_lo, mu_hi), (nu_lo, nu_hi) = bounds
-    mu = np.arange(mu_lo, mu_hi + 1)[:, None]
-    nu = np.arange(nu_lo, nu_hi + 1)[None, :]
-    return np.sign((mu - nu) - (target[0] - target[1]))
+def _sign_m(offsets: Bounds) -> np.ndarray:
+    """sgn(m - m_t) over the offsets, m - m_t = (mu - mu_t) - (nu - nu_t)."""
+    (dmu_lo, dmu_hi), (dnu_lo, dnu_hi) = offsets
+    dmu = np.arange(dmu_lo, dmu_hi + 1)[:, None]
+    dnu = np.arange(dnu_lo, dnu_hi + 1)[None, :]
+    return np.sign(dmu - dnu)
 
 
-def _green_values(lam, contour: Contour, target, bounds: Bounds, nodes) -> np.ndarray:
+def _green_values(lam, contour: Contour, offsets: Bounds) -> np.ndarray:
     split, signs = _level_arcs(lam, contour)
-    dm = _sign_m(bounds, target)
-    products = _arc_products(split, target, bounds, nodes)
+    dm = _sign_m(offsets)
+    products = _arc_products(split, offsets)
     total = sum((dm + s) * p for s, p in zip(signs, products))
     return (total / FOUR_PI).astype(complex)
 
 
-def _g0_values(contour: Contour, target, bounds: Bounds, nodes) -> np.ndarray:
-    total = _sign_m(bounds, target) * sum(_arc_products(contour, target, bounds, nodes))
+def _g0_values(contour: Contour, offsets: Bounds) -> np.ndarray:
+    total = _sign_m(offsets) * sum(_arc_products(contour, offsets))
     return (total / FOUR_PI).astype(complex)
 
 
-def kernel_K(
-    contour: Contour,
-    mu: int,
-    nu: int,
-    mu_t: int,
-    nu_t: int,
-    nodes: Optional[int] = None,
-) -> complex:
+def kernel_K(contour: Contour, mu: int, nu: int, mu_t: int, nu_t: int) -> complex:
     """Kernel K: the contour integral of the wave differential.
 
     Vanishes on the diagonal sublattice mu - nu = mu_t - nu_t and is
     annihilated by the five-point operator in (mu, nu).
     """
-    return complex(sum(_arc_products(contour, (mu_t, nu_t), _point(mu, nu), nodes))[0, 0])
+    return complex(sum(_arc_products(contour, _point(mu - mu_t, nu - nu_t)))[0, 0])
 
 
-def g0(
-    contour: Contour,
-    mu: int,
-    nu: int,
-    mu_t: int,
-    nu_t: int,
-    nodes: Optional[int] = None,
-) -> complex:
+def g0(contour: Contour, mu: int, nu: int, mu_t: int, nu_t: int) -> complex:
     """Unnormalized Green's function sgn(m - mt) K / (4 pi) on the contour."""
-    return complex(_g0_values(contour, (mu_t, nu_t), _point(mu, nu), nodes)[0, 0])
+    return complex(_g0_values(contour, _point(mu - mu_t, nu - nu_t))[0, 0])
 
 
 def green(
@@ -225,7 +215,7 @@ def green(
     nodes: int = DEFAULT_NODES,
 ) -> complex:
     """Normalized Green's function at lambda by direct weighted quadrature."""
-    values = _green_values(lam, c_contour(lam, nodes), (mu_t, nu_t), _point(mu, nu), nodes)
+    values = _green_values(lam, c_contour(lam, nodes), _point(mu - mu_t, nu - nu_t))
     return complex(values[0, 0])
 
 
@@ -243,33 +233,31 @@ def z_correction(
     annihilates it; green = g0 + z_correction on the same contour.
     """
     split, signs = _level_arcs(lam, c_contour(lam, nodes))
-    products = _arc_products(split, (mu_t, nu_t), _point(mu, nu), nodes)
+    products = _arc_products(split, _point(mu - mu_t, nu - nu_t))
     return complex(sum(s * p for s, p in zip(signs, products))[0, 0] / FOUR_PI)
 
 
-@dataclass
-class GreenTable:
+@dataclass(eq=False, kw_only=True)
+class GreenTable(LatticeField):
     """Computed Green's-function values over a lattice window.
 
-    ``values`` is a 2-D complex ndarray for the fixed target (mu_t, nu_t),
-    indexed ``values[mu - mu_lo, nu - nu_lo]`` with ``mu_range =
-    (mu_lo, mu_hi)`` and ``nu_range = (nu_lo, nu_hi)``; ``table[(mu, nu)]``
-    reads one entry.  ``metadata`` records lambda, node counts, the contour
-    and the node-halving error estimate when requested.
+    A :class:`LatticeField` over (mu, nu) for the fixed target
+    (mu_t, nu_t): ``values[mu - mu_lo, nu - nu_lo]`` with ``mu_range =
+    (mu_lo, mu_hi)`` and ``nu_range = (nu_lo, nu_hi)``.  ``metadata``
+    records lambda, node counts, the contour and the node-halving error
+    estimate when requested.
     """
 
     target: Tuple[int, int]
-    mu_range: Tuple[int, int]
-    nu_range: Tuple[int, int]
-    values: np.ndarray
     metadata: Dict = field(default_factory=dict)
 
-    def __getitem__(self, key: Tuple[int, int]) -> complex:
-        mu, nu = key
-        (mu_lo, mu_hi), (nu_lo, nu_hi) = self.mu_range, self.nu_range
-        if not (mu_lo <= mu <= mu_hi and nu_lo <= nu <= nu_hi):
-            raise KeyError(key)
-        return complex(self.values[mu - mu_lo, nu - nu_lo])
+    @property
+    def mu_range(self) -> Tuple[int, int]:
+        return self.i_range
+
+    @property
+    def nu_range(self) -> Tuple[int, int]:
+        return self.j_range
 
     def rows(self) -> List[Tuple[int, int, int, int, float, float]]:
         mu_t, nu_t = self.target
@@ -323,33 +311,29 @@ def green_table(
     lam: Optional[SpherePoint] = None,
     kind: str = "green",
     nodes: int = DEFAULT_NODES,
-    contour: Optional[Contour] = None,
     error_estimate: bool = False,
 ) -> GreenTable:
     """Tabulate g0 or the normalized green over a rectangular window.
 
     ``window`` is either a half-size (centered at the target) or explicit
-    ((mu_lo, mu_hi), (nu_lo, nu_hi)) bounds.  For kind="g0" without an
-    explicit contour, C_lambda is used when lam is given and the default
-    separating contour otherwise.  ``error_estimate`` recomputes the table
-    at half the node count and stores the max difference in the metadata.
+    ((mu_lo, mu_hi), (nu_lo, nu_hi)) bounds.  For kind="g0", C_lambda is
+    used when lam is given and the default separating contour otherwise.
+    Tables for two targets agree bit for bit over the same offsets.
+    ``error_estimate`` recomputes the table at half the node count and
+    stores the max difference in the metadata.
     """
     if kind not in ("green", "g0"):
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "green" and lam is None:
         raise ValueError("normalized green needs lambda")
     bounds = _window_bounds(window, target)
+    offsets = _offsets(bounds, target)
 
     def build(n: int) -> Tuple[Contour, np.ndarray]:
-        if contour is not None:
-            ctr = contour
-        elif lam is not None:
-            ctr = c_contour(lam, n)
-        else:
-            ctr = default_kernel_contour(n)
+        ctr = c_contour(lam, n) if lam is not None else default_kernel_contour(n)
         if kind == "green":
-            return ctr, _green_values(lam, ctr, target, bounds, n)
-        return ctr, _g0_values(ctr, target, bounds, n)
+            return ctr, _green_values(lam, ctr, offsets)
+        return ctr, _g0_values(ctr, offsets)
 
     ctr, values = build(nodes)
     contour_info = {
@@ -362,13 +346,7 @@ def green_table(
     if error_estimate:
         _, coarse = build(max(16, nodes // 2))
         meta["est_error"] = float(np.max(np.abs(values - coarse)))
-    return GreenTable(
-        target=tuple(target),
-        mu_range=bounds[0],
-        nu_range=bounds[1],
-        values=values,
-        metadata=meta,
-    )
+    return GreenTable(bounds[0], bounds[1], values, target=tuple(target), metadata=meta)
 
 
 def verify_delta(
@@ -384,26 +362,17 @@ def verify_delta(
     inside; L is applied at every point of the requested window.
     """
     (mu_lo, mu_hi), (nu_lo, nu_hi) = _window_bounds(window, target)
-    v = green_table(
+    table = green_table(
         ((mu_lo - 1, mu_hi + 1), (nu_lo - 1, nu_hi + 1)),
         target=target,
         lam=lam,
         kind=kind,
         nodes=nodes,
-    ).values
-    mu = np.arange(mu_lo, mu_hi + 1)[:, None]
-    nu = np.arange(nu_lo, nu_hi + 1)[None, :]
-    co = np.array([[astuple(coefficients_from_f(f, i, j)) for j in nu[0]] for i in mu[:, 0]])
-    a_right, a_left, b_up, b_down, c = np.moveaxis(co, -1, 0)
-    lg = (
-        a_right * v[2:, 1:-1]
-        + a_left * v[:-2, 1:-1]
-        + b_up * v[1:-1, 2:]
-        + b_down * v[1:-1, :-2]
-        - c * v[1:-1, 1:-1]
     )
-    delta = (mu == target[0]) & (nu == target[1])
-    return float(np.max(np.abs(lg - delta)))
+    lg = apply_L(table, lambda mu, nu: coefficients_from_f(f, mu, nu))
+    if lg.contains(*target):
+        lg[target] -= 1
+    return float(np.max(np.abs(lg.values)))
 
 
 def growth_check(

@@ -25,8 +25,10 @@ neighbours, so ``L`` is a five-point stencil on the even sublattice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Mapping, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "ParityError",
@@ -38,15 +40,12 @@ __all__ = [
     "to_sublattice",
     "from_sublattice",
     "coefficients_from_f",
+    "apply_L",
     "apply_five_point",
     "check_four_point",
 ]
 
 FValues = Union[Callable[[int, int], float], Mapping[Tuple[int, int], float]]
-CoeffSource = Union[
-    Callable[[int, int], "FiveptCoefficients"],
-    Mapping[Tuple[int, int], "FiveptCoefficients"],
-]
 
 
 class ParityError(ValueError):
@@ -57,7 +56,7 @@ class SingularCoefficientError(ZeroDivisionError):
     """Raised when f vanishes at a point required by the coefficients."""
 
 
-class WindowError(LookupError):
+class WindowError(KeyError):
     """Raised on access outside a field's index window."""
 
 
@@ -147,18 +146,29 @@ def coefficients_from_f(f: FValues, mu: int, nu: int) -> FiveptCoefficients:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class LatticeField:
     """Complex scalars on a rectangular window of an integer lattice.
 
-    The window is ``i_range = (i_min, i_max)`` by ``j_range = (j_min, j_max)``,
-    both inclusive.  Index names are deliberately neutral: the same container
-    holds fields over (m, n) and over (mu, nu).
+    The window is ``i_range = (i_lo, i_hi)`` by ``j_range = (j_lo, j_hi)``,
+    both inclusive, and ``values`` is a 2-D complex ndarray indexed
+    ``values[i - i_lo, j - j_lo]`` (zeros when not given).  Index names are
+    deliberately neutral: the same container holds fields over (m, n) and
+    over (mu, nu).  ``field[(i, j)]`` reads and writes one entry and raises
+    :class:`WindowError` outside the window.
     """
 
     i_range: Tuple[int, int]
     j_range: Tuple[int, int]
-    values: Dict[Tuple[int, int], complex] = field(default_factory=dict)
+    values: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        shape = (self.i_range[1] - self.i_range[0] + 1, self.j_range[1] - self.j_range[0] + 1)
+        if self.values is None:
+            self.values = np.zeros(shape, dtype=complex)
+        self.values = np.asarray(self.values, dtype=complex)
+        if self.values.shape != shape:
+            raise ValueError(f"values of shape {self.values.shape} on a {shape} window")
 
     @classmethod
     def from_function(
@@ -167,11 +177,11 @@ class LatticeField:
         j_range: Tuple[int, int],
         fn: Callable[[int, int], complex],
     ) -> "LatticeField":
-        out = cls(i_range, j_range)
-        for i in range(i_range[0], i_range[1] + 1):
-            for j in range(j_range[0], j_range[1] + 1):
-                out.values[(i, j)] = complex(fn(i, j))
-        return out
+        return cls(i_range, j_range, np.array(
+            [[complex(fn(i, j)) for j in range(j_range[0], j_range[1] + 1)]
+             for i in range(i_range[0], i_range[1] + 1)],
+            dtype=complex,
+        ))
 
     def contains(self, i: int, j: int) -> bool:
         return (
@@ -179,38 +189,54 @@ class LatticeField:
             and self.j_range[0] <= j <= self.j_range[1]
         )
 
-    def __getitem__(self, key: Tuple[int, int]) -> complex:
+    def _offset(self, key: Tuple[int, int]) -> Tuple[int, int]:
         if not self.contains(*key):
             raise WindowError(f"index {key} outside window {self.i_range} x {self.j_range}")
-        return self.values[key]
+        return key[0] - self.i_range[0], key[1] - self.j_range[0]
+
+    def __getitem__(self, key: Tuple[int, int]) -> complex:
+        return complex(self.values[self._offset(key)])
 
     def __setitem__(self, key: Tuple[int, int], value: complex) -> None:
-        if not self.contains(*key):
-            raise WindowError(f"index {key} outside window {self.i_range} x {self.j_range}")
-        self.values[key] = complex(value)
-
-    def indices(self) -> Iterator[Tuple[int, int]]:
-        for i in range(self.i_range[0], self.i_range[1] + 1):
-            for j in range(self.j_range[0], self.j_range[1] + 1):
-                yield (i, j)
+        self.values[self._offset(key)] = value
 
 
-def _coeffs_at(coeffs: CoeffSource, mu: int, nu: int) -> FiveptCoefficients:
-    return coeffs(mu, nu) if callable(coeffs) else coeffs[(mu, nu)]
+def apply_L(
+    phi: LatticeField, coeffs: Callable[[int, int], FiveptCoefficients]
+) -> LatticeField:
+    """L phi on the interior of phi's window (one site in from each edge).
+
+    ``coeffs(mu, nu)`` gives the stencil at each interior site, usually
+    ``lambda mu, nu: coefficients_from_f(f, mu, nu)``.  The window must be
+    at least 3 x 3.
+    """
+    (i_lo, i_hi), (j_lo, j_hi) = phi.i_range, phi.j_range
+    if i_hi - i_lo < 2 or j_hi - j_lo < 2:
+        raise WindowError(f"window {phi.i_range} x {phi.j_range} has no interior")
+    co = [[coeffs(mu, nu) for nu in range(j_lo + 1, j_hi)] for mu in range(i_lo + 1, i_hi)]
+
+    def coeff_array(name: str) -> np.ndarray:
+        return np.array([[getattr(c, name) for c in row] for row in co], dtype=float)
+
+    v = phi.values
+    lv = (
+        coeff_array("a_right") * v[2:, 1:-1]
+        + coeff_array("a_left") * v[:-2, 1:-1]
+        + coeff_array("b_up") * v[1:-1, 2:]
+        + coeff_array("b_down") * v[1:-1, :-2]
+        - coeff_array("c") * v[1:-1, 1:-1]
+    )
+    return LatticeField((i_lo + 1, i_hi - 1), (j_lo + 1, j_hi - 1), lv)
 
 
 def apply_five_point(
-    phi: LatticeField, coeffs: CoeffSource, mu: int, nu: int
+    phi: LatticeField, coeffs: Callable[[int, int], FiveptCoefficients], mu: int, nu: int
 ) -> complex:
     """Evaluate (L phi) at (mu, nu); the full stencil must be in the window."""
-    co = _coeffs_at(coeffs, mu, nu)
-    return (
-        co.a_right * phi[(mu + 1, nu)]
-        + co.a_left * phi[(mu - 1, nu)]
-        + co.b_up * phi[(mu, nu + 1)]
-        + co.b_down * phi[(mu, nu - 1)]
-        - co.c * phi[(mu, nu)]
-    )
+    i, j = phi._offset((mu - 1, nu - 1))
+    phi._offset((mu + 1, nu + 1))  # raises unless the whole stencil is inside
+    stencil = LatticeField((mu - 1, mu + 1), (nu - 1, nu + 1), phi.values[i : i + 3, j : j + 3])
+    return apply_L(stencil, coeffs)[(mu, nu)]
 
 
 def check_four_point(psi: LatticeField, f: FValues) -> float:
@@ -220,11 +246,13 @@ def check_four_point(psi: LatticeField, f: FValues) -> float:
     ``|psi(m+1, n+1) - psi(m, n) - i f(m, n) (psi(m+1, n) - psi(m, n+1))|``,
     taken over all points whose stencil fits inside the window.
     """
-    worst = 0.0
-    for m in range(psi.i_range[0], psi.i_range[1]):
-        for n in range(psi.j_range[0], psi.j_range[1]):
-            fv = f(m, n) if callable(f) else f[(m, n)]
-            lhs = psi[(m + 1, n + 1)] - psi[(m, n)]
-            rhs = 1j * fv * (psi[(m + 1, n)] - psi[(m, n + 1)])
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    (m_lo, m_hi), (n_lo, n_hi) = psi.i_range, psi.j_range
+    fv = np.array(
+        [[f(m, n) if callable(f) else f[(m, n)] for n in range(n_lo, n_hi)]
+         for m in range(m_lo, m_hi)],
+        dtype=float,
+    ).reshape(m_hi - m_lo, n_hi - n_lo)
+    v = psi.values
+    lhs = v[1:, 1:] - v[:-1, :-1]
+    rhs = 1j * fv * (v[1:, :-1] - v[:-1, 1:])
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))

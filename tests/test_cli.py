@@ -137,6 +137,31 @@ def test_negative_values_as_separate_arguments(tmp_path):
     assert a.read_text().splitlines()[1].startswith("-3,-3,-2,-2,")
 
 
+@pytest.mark.parametrize("lam", ["nan", "1+nani", "nan,0", "inf,0"])
+def test_non_finite_lambda_rejected(tmp_path, capsys, lam):
+    out = tmp_path / "x.csv"
+    code = run(["green-table", f"--lambda={lam}", "--window", "1", "--nodes", "64", "--out", str(out)])
+    assert code == 2
+    assert "rejected configuration" in capsys.readouterr().err
+    assert not out.exists()
+    assert parse_point("infinity") is INFINITY
+
+
+def test_nan_tol_rejected(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["green-table", "--lambda", "2+2i", "--window", "1", "--nodes", "64",
+                "--tol", "nan", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert run(["verify", "--tol", "nan"]) == 2
+    assert "--tol must be positive" in capsys.readouterr().err
+
+
+def test_malformed_green_nodes_rejected(monkeypatch, capsys):
+    monkeypatch.setenv("GREEN_NODES", "abc")
+    assert run(["verify"]) == 2
+    assert "GREEN_NODES='abc'" in capsys.readouterr().err
+
+
 def test_map_grid_lower_bound(tmp_path):
     code = run(["quasimomentum-map", "--grid", "1", "--out", str(tmp_path / "m.csv")])
     assert code == 2

@@ -279,6 +279,15 @@ def test_residue_lemma_P_hypothesis_enforced():
 
 # --- tables ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("kind, lam", [("green", 2 + 2j), ("g0", 2 + 2j), ("g0", None)])
+def test_table_is_translation_invariant(kind, lam):
+    # the integrand is psi(z, m - mt, n - nt) Omega, so a target only shifts
+    # the index and the values over the same offsets agree bit for bit
+    at_origin = green_table(24, target=(0, 0), lam=lam, kind=kind).values
+    shifted = green_table(24, target=(2, -1), lam=lam, kind=kind).values
+    assert at_origin.tobytes() == shifted.tobytes()
+
+
 def test_table_shape_and_metadata(tmp_path):
     table = green_table(2, target=(1, -1), lam=2 + 2j, kind="green", error_estimate=True)
     assert table.values.shape == (5, 5)

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latgreen import (
+    GreenTable,
     LatticeField,
     LatticeIndex,
     ParityError,
     SingularCoefficientError,
     WindowError,
+    apply_L,
     apply_five_point,
     check_four_point,
     coefficients_from_f,
@@ -144,3 +147,80 @@ def test_five_point_annihilates_sphere_wave_function():
         for nu in range(-3, 4)
     )
     assert worst < 1e-10
+
+
+# --- window-wide stencil against explicit loops ------------------------------------
+
+def _random_f(seed):
+    """A non-constant real lattice function with values in [0.2, 3]."""
+    rng = np.random.default_rng(seed)
+    table = {(m, n): float(rng.uniform(0.2, 3.0)) for m in range(-20, 21) for n in range(-20, 21)}
+    return lambda m, n: table[(m, n)]
+
+
+def _random_field(seed, i_range, j_range):
+    rng = np.random.default_rng(seed)
+    return LatticeField.from_function(i_range, j_range, lambda i, j: complex(*rng.normal(size=2)))
+
+
+def test_field_values_are_an_offset_ndarray():
+    field = _random_field(1, (-3, 3), (2, 10))
+    assert isinstance(field.values, np.ndarray)
+    assert field.values.shape == (7, 9)
+    for i in range(-3, 4):
+        for j in range(2, 11):
+            assert field[(i, j)] == field.values[i + 3, j - 2]
+    field[(0, 5)] = 2.5j
+    assert field.values[3, 3] == 2.5j
+    with pytest.raises(WindowError):
+        field[(0, 1)] = 1.0
+
+
+def test_apply_L_matches_docstring_loop():
+    f = _random_f(2)
+    phi = _random_field(3, (-3, 3), (2, 10))
+    got = apply_L(phi, lambda mu, nu: coefficients_from_f(f, mu, nu))
+    assert (got.i_range, got.j_range) == ((-2, 2), (3, 9))
+    for mu in range(-2, 3):
+        for nu in range(3, 10):
+            m, n = mu - nu, mu + nu
+            a_right, a_left = 1.0 / f(m, n), 1.0 / f(m - 1, n - 1)
+            b_up, b_down = f(m - 1, n), f(m, n - 1)
+            c = a_right + a_left + b_up + b_down
+            terms = [
+                a_right * phi[(mu + 1, nu)],
+                a_left * phi[(mu - 1, nu)],
+                b_up * phi[(mu, nu + 1)],
+                b_down * phi[(mu, nu - 1)],
+                -c * phi[(mu, nu)],
+            ]
+            scale = sum(abs(t) for t in terms)
+            assert abs(got[(mu, nu)] - sum(terms)) <= 1e-15 * scale
+            assert apply_five_point(phi, lambda i, j: coefficients_from_f(f, i, j), mu, nu) == got[(mu, nu)]
+
+
+def test_check_four_point_matches_loop():
+    f = _random_f(4)
+    psi_mn = _random_field(5, (-3, 3), (2, 10))
+    (m_lo, m_hi), (n_lo, n_hi) = psi_mn.i_range, psi_mn.j_range
+    v = psi_mn.values
+    worst = 0.0
+    for m in range(m_lo, m_hi):
+        for n in range(n_lo, n_hi):
+            i, j = m - m_lo, n - n_lo
+            lhs = v[i + 1, j + 1] - v[i, j]
+            rhs = 1j * f(m, n) * (v[i + 1, j] - v[i, j + 1])
+            worst = max(worst, abs(lhs - rhs))
+    assert worst > 0
+    assert abs(check_four_point(psi_mn, f) - worst) <= 1e-15 * worst
+
+
+def test_green_table_is_a_lattice_field():
+    table = GreenTable((-1, 1), (2, 4), np.arange(9).reshape(3, 3), target=(0, 3))
+    assert isinstance(table, LatticeField)
+    assert (table.mu_range, table.nu_range) == (table.i_range, table.j_range) == ((-1, 1), (2, 4))
+    assert table[(1, 2)] == 6
+    for outside in ((2, 3), (0, 1)):
+        with pytest.raises(WindowError) as exc:
+            table[outside]
+        assert isinstance(exc.value, KeyError)
