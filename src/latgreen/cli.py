@@ -1,10 +1,11 @@
 """Batch front end: tables, verification suite, quasimomentum maps.
 
 Exit codes: 0 success, 1 failed verification check (or a green-table
-estimate above --tol), 2 degenerate contour or rejected configuration, 3 I/O
-failure.  The GREEN_NODES environment variable overrides the built-in
-default node count; an explicit --nodes beats both.  Outputs are plain CSV/JSON with complex values as separate
-re/im columns, and identical inputs produce byte-identical files.
+relative estimate above --tol), 2 degenerate contour or rejected
+configuration, 3 I/O failure.  The GREEN_NODES environment variable
+overrides the built-in default node count; an explicit --nodes beats
+both.  Outputs are plain CSV/JSON with complex values as separate re/im
+columns, and identical inputs produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -56,6 +57,11 @@ TWO_PI = 2.0 * math.pi
 # options whose values may start with '-' (a negative real part or index)
 _SIGNED_OPTIONS = ("--lambda", "--target")
 _SIGNED_VALUE = re.compile(r"-[0-9.ij]")
+# an infinity inside a point is kept; any other 'i' is the imaginary unit
+_INF_OR_UNIT = re.compile(r"(inf(?:inity)?)|i")
+# Gauss-Legendre nodes come from an n x n eigenproblem: 4096 nodes already
+# take seconds and hundreds of MB
+MAX_NODES = 4096
 
 
 def _default_nodes() -> int:
@@ -77,7 +83,7 @@ def parse_point(text: str):
         re_s, im_s = s.split(",", 1)
         z = complex(float(re_s), float(im_s))
     else:
-        z = complex(s.replace("i", "j"))
+        z = complex(_INF_OR_UNIT.sub(lambda m: m.group(1) or "j", s))
     if not cmath.isfinite(z):
         raise ValueError(f"{text!r} is not a finite point (use 'inf' for infinity)")
     return z
@@ -89,8 +95,8 @@ def _parse_target(text: str) -> Tuple[int, int]:
 
 
 def _check_config(args) -> None:
-    if args.nodes < 16:
-        raise ValueError(f"--nodes must be >= 16, got {args.nodes}")
+    if not 16 <= args.nodes <= MAX_NODES:
+        raise ValueError(f"--nodes must be in [16, {MAX_NODES}], got {args.nodes}")
     tol = getattr(args, "tol", None)
     if tol is not None and not tol > 0:
         raise ValueError(f"--tol must be positive, got {tol}")
@@ -124,7 +130,7 @@ def cmd_green_table(args) -> int:
     est = table.metadata.get("est_error")
     print(f"wrote {out} ({table.values.size} values, est_error={est:.3e})")
     if args.tol is not None and est > args.tol:
-        print(f"warning: node-halving estimate {est:.3e} exceeds --tol {args.tol:.1e}",
+        print(f"warning: relative node-halving estimate {est:.3e} exceeds --tol {args.tol:.1e}",
               file=sys.stderr)
         return 1
     return 0
@@ -274,6 +280,9 @@ def cmd_quasimomentum_map(args) -> int:
     _check_config(args)
     if args.grid < 2:
         raise ValueError(f"--grid must be >= 2, got {args.grid}")
+    for name in ("xmin", "xmax", "ymin", "ymax"):
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"--{name} must be finite, got {getattr(args, name)}")
     xs = [args.xmin + k * (args.xmax - args.xmin) / (args.grid - 1) for k in range(args.grid)]
     ys = [args.ymin + k * (args.ymax - args.ymin) / (args.grid - 1) for k in range(args.grid)]
     with open(args.out, "w", newline="") as fh:

@@ -59,15 +59,17 @@ class NotACContourError(ValueError):
 
 @dataclass(frozen=True)
 class CurveComponent:
-    """One parameterized curve t in [0, 1] -> point, with derivative.
+    """One parameterized curve t in [0, 1] -> z(t), with derivative.
 
-    ``point`` and ``velocity`` must accept an ndarray of parameters and
-    return complex ndarrays.  ``closed`` selects the quadrature rule.
+    ``sample`` accepts an ndarray of parameters and returns the complex
+    ndarrays ``(z, dz/dt)``.  ``closed`` selects the quadrature rule.
     """
 
-    point: Callable[[np.ndarray], np.ndarray]
-    velocity: Callable[[np.ndarray], np.ndarray]
+    sample: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     closed: bool = True
+
+    def point(self, t: np.ndarray) -> np.ndarray:
+        return self.sample(t)[0]
 
     def close_up_gap(self) -> float:
         """Distance between the two parameterization endpoints."""
@@ -92,13 +94,11 @@ def circle(center: complex, radius: float, counterclockwise: bool = True) -> Cur
     """Closed circular component around ``center``."""
     turn = TWO_PI_Q if counterclockwise else -TWO_PI_Q
 
-    def point(t: np.ndarray) -> np.ndarray:
-        return center + radius * np.exp(1j * turn * t.astype(QUAD_REAL)).astype(QUAD_DTYPE)
+    def sample(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        e = np.exp(1j * turn * t.astype(QUAD_REAL)).astype(QUAD_DTYPE)
+        return center + radius * e, 1j * turn * radius * e
 
-    def velocity(t: np.ndarray) -> np.ndarray:
-        return 1j * turn * radius * np.exp(1j * turn * t.astype(QUAD_REAL)).astype(QUAD_DTYPE)
-
-    return CurveComponent(point=point, velocity=velocity, closed=True)
+    return CurveComponent(sample, closed=True)
 
 
 def _legendre_with_derivative(x: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -125,6 +125,8 @@ def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _component_rule(comp: CurveComponent, nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    if nodes < 1:
+        raise ValueError(f"a quadrature rule needs at least 1 node, got {nodes}")
     if comp.closed:
         t = (np.arange(nodes, dtype=QUAD_REAL)) / nodes
         w = np.full(nodes, QUAD_REAL(1.0) / nodes)
@@ -139,17 +141,17 @@ def integrate(
 ) -> complex:
     """Integrate the differential ``omega(z) dz`` along the contour.
 
-    ``omega`` returns the coefficient against dz; the parameterization
-    velocity and the orientation sign are applied here.  A non-finite
-    sample raises :class:`PoleOnContourError`.
+    ``omega`` returns the coefficient against dz; dz/dt from each
+    component's ``sample`` and the orientation sign are applied here.  A
+    non-finite sample raises :class:`PoleOnContourError`.
     """
     n = int(nodes) if nodes is not None else contour.nodes_per_component
     total = QUAD_DTYPE(0)
     for comp in contour.components:
         t, w = _component_rule(comp, n)
-        z = comp.point(t)
+        z, dz = comp.sample(t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            samples = np.asarray(omega(z), dtype=QUAD_DTYPE) * comp.velocity(t)
+            samples = np.asarray(omega(z), dtype=QUAD_DTYPE) * dz
         if not np.all(np.isfinite(samples.astype(complex))):
             raise PoleOnContourError("non-finite integrand sample on the contour")
         total = total + np.sum(samples * w)
@@ -239,13 +241,11 @@ def _subarc(comp: CurveComponent, a, b) -> CurveComponent:
     a = QUAD_REAL(a)
     span = QUAD_REAL(b) - a
 
-    def point(s: np.ndarray) -> np.ndarray:
-        return comp.point(np.mod(a + span * s.astype(QUAD_REAL), QUAD_REAL(1.0)))
+    def sample(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        z, dz = comp.sample(np.mod(a + span * s.astype(QUAD_REAL), QUAD_REAL(1.0)))
+        return z, dz * span
 
-    def velocity(s: np.ndarray) -> np.ndarray:
-        return comp.velocity(np.mod(a + span * s.astype(QUAD_REAL), QUAD_REAL(1.0))) * span
-
-    return CurveComponent(point=point, velocity=velocity, closed=False)
+    return CurveComponent(sample, closed=False)
 
 
 def split_at_sign_changes(contour: Contour, ts: Sequence) -> Contour:

@@ -136,15 +136,15 @@ def _arc_products(contour: Contour, offsets: Bounds) -> List[np.ndarray]:
     ``P[i, j]`` is the integral along the component (orientation included)
     of psi(z, dm, dn) Omega at the offset (dmu, dnu) = (dmu_lo + i,
     dnu_lo + j), dm = dmu - dnu, dn = dmu + dnu, in extended precision.
-    ``base`` = Omega * velocity * quadrature weights is sampled once per
+    ``base`` = Omega * dz/dt * quadrature weights is sampled once per
     component; with psi = U**dmu V**dnu the window is
     ``P = (Up * base) @ Vp.T``.  A single point is a 1 x 1 window.
     """
     products = []
     for comp in contour.components:
         t, w = _component_rule(comp, contour.nodes_per_component)
-        z = comp.point(t)
-        base = omega_coeff(z) * comp.velocity(t) * w * contour.orientation_sign
+        z, dz = comp.sample(t)
+        base = omega_coeff(z) * dz * w * contour.orientation_sign
         up, vp = psi_power_tables(z, *offsets)
         up *= base
         products.append(up @ vp.T)
@@ -244,8 +244,8 @@ class GreenTable(LatticeField):
     A :class:`LatticeField` over (mu, nu) for the fixed target
     (mu_t, nu_t): ``values[mu - mu_lo, nu - nu_lo]`` with ``mu_range =
     (mu_lo, mu_hi)`` and ``nu_range = (nu_lo, nu_hi)``.  ``metadata``
-    records lambda, node counts, the contour and the node-halving error
-    estimate when requested.
+    records lambda, node counts, the contour and, when requested, the
+    relative node-halving error estimate ``est_error``.
     """
 
     target: Tuple[int, int]
@@ -320,7 +320,8 @@ def green_table(
     used when lam is given and the default separating contour otherwise.
     Tables for two targets agree bit for bit over the same offsets.
     ``error_estimate`` recomputes the table at half the node count and
-    stores the max difference in the metadata.
+    stores ``est_error`` = max|G_N - G_{N/2}| / max|G_N| (0 for an all-zero
+    table) in the metadata.
     """
     if kind not in ("green", "g0"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -344,8 +345,9 @@ def green_table(
     meta: Dict = {"kind": kind, "nodes": nodes, "contour": contour_info}
     meta.update(_lambda_meta(lam))
     if error_estimate:
-        _, coarse = build(max(16, nodes // 2))
-        meta["est_error"] = float(np.max(np.abs(values - coarse)))
+        _, coarse = build(nodes // 2)
+        scale = np.max(np.abs(values))
+        meta["est_error"] = float(np.max(np.abs(values - coarse)) / scale) if scale > 0 else 0.0
     return GreenTable(bounds[0], bounds[1], values, target=tuple(target), metadata=meta)
 
 

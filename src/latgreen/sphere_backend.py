@@ -349,19 +349,12 @@ def level_circle_contour(radius: float, nodes: int = DEFAULT_NODES) -> Contour:
     """
     r = QUAD_REAL(radius)
 
-    def point(t: np.ndarray) -> np.ndarray:
+    def sample(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         w = r * np.exp(-1j * TWO_PI_Q * t.astype(QUAD_REAL)).astype(QUAD_DTYPE)
-        return mobius_z(w)
+        return mobius_z(w), 2j / (1.0 - w) ** 2 * (-1j * TWO_PI_Q * w)
 
-    def velocity(t: np.ndarray) -> np.ndarray:
-        w = r * np.exp(-1j * TWO_PI_Q * t.astype(QUAD_REAL)).astype(QUAD_DTYPE)
-        dz_dw = 2j / (1.0 - w) ** 2
-        dw_dt = -1j * TWO_PI_Q * w
-        return dz_dw * dw_dt
-
-    comp = CurveComponent(point=point, velocity=velocity, closed=True)
     return Contour(
-        components=(comp,),
+        components=(CurveComponent(sample, closed=True),),
         nodes_per_component=nodes,
         orientation_sign=1,
         metadata={"chart_radius": float(radius)},

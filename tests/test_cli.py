@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,24 @@ def test_tol_gate_warns_on_large_estimate(tmp_path, capsys):
     assert "exceeds --tol" not in capsys.readouterr().err
 
 
+def test_tol_gate_never_compares_a_table_with_itself(tmp_path, capsys):
+    # the coarse rule of --nodes 16 has 8 nodes, so the estimate is not 0
+    out = tmp_path / "t.csv"
+    assert run(["green-table", "--lambda", "2+2i", "--window", "3", "--nodes", "16",
+                "--tol", "1e-30", "--out", str(out)]) == 1
+    assert "exceeds --tol" in capsys.readouterr().err
+
+
+def test_tol_gate_is_relative_to_the_table(tmp_path, capsys):
+    # |G| reaches 1.9e14 here, so an absolute node-halving difference of
+    # 3e-2 is rounding level
+    out = tmp_path / "t.csv"
+    assert run(["green-table", "--lambda=-1+2i", "--window", "24", "--tol", "1e-8",
+                "--out", str(out)]) == 0
+    est = float(re.search(r"est_error=(\S+)\)", capsys.readouterr().out).group(1))
+    assert est < 1e-14
+
+
 def test_negative_values_as_separate_arguments(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["green-table", "--window", "1", "--nodes", "64"]
@@ -154,6 +173,34 @@ def test_nan_tol_rejected(tmp_path, capsys):
     assert not out.exists()
     assert run(["verify", "--tol", "nan"]) == 2
     assert "--tol must be positive" in capsys.readouterr().err
+
+
+def test_signed_infinities_named_non_finite(tmp_path, capsys):
+    # 'i' is the imaginary unit only outside 'inf'
+    out = tmp_path / "x.csv"
+    for lam in ("-inf", "+inf", "1+infi"):
+        assert run(["green-table", "--lambda", lam, "--window", "1", "--nodes", "64",
+                    "--out", str(out)]) == 2
+        assert "is not a finite point" in capsys.readouterr().err
+    assert not out.exists()
+    assert parse_point("(1+2i)") == 1 + 2j
+    assert parse_point("i") == 1j
+
+
+@pytest.mark.parametrize("nodes, kind", [("100000000000000000000", "--lambda=2+2i"),
+                                         ("100000000000000000000", "--g0"),
+                                         ("4097", "--g0")])
+def test_nodes_upper_bound_rejected(tmp_path, capsys, nodes, kind):
+    out = tmp_path / "x.csv"
+    assert run(["green-table", kind, "--nodes", nodes, "--out", str(out)]) == 2
+    assert "--nodes must be in [16, 4096]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_green_nodes_above_cap_rejected(monkeypatch, capsys):
+    monkeypatch.setenv("GREEN_NODES", "100000000000000000000")
+    assert run(["verify"]) == 2
+    assert "--nodes must be in [16, 4096]" in capsys.readouterr().err
 
 
 def test_malformed_green_nodes_rejected(monkeypatch, capsys):
@@ -238,6 +285,14 @@ def test_map_grid_values_and_singular_cells(tmp_path):
     assert cells[(0.0, -1.0)]["singular"] == "1"
     assert cells[(1.0, 0.0)]["singular"] == "1"
     assert math.isinf(float(cells[(0.0, 1.0)]["im_p_n"]))
+
+
+@pytest.mark.parametrize("bound", ["--xmin=nan", "--xmax=inf", "--ymin=-inf", "--ymax=nan"])
+def test_map_non_finite_bound_rejected(tmp_path, capsys, bound):
+    out = tmp_path / "m.csv"
+    assert run(["quasimomentum-map", bound, "--grid", "2", "--out", str(out)]) == 2
+    assert f"{bound.split('=')[0]} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_map_real_lambda_polyline_is_real_axis(tmp_path):

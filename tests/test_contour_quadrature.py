@@ -13,14 +13,15 @@ from latgreen import (
     c_contour,
     dp_m_coeff,
     dp_n_coeff,
+    green_table,
     integrate,
     normalize_orientation,
     omega_coeff,
     residue,
     split_at_sign_changes,
 )
-from latgreen.contour_quadrature import circle
-from latgreen.sphere_backend import P_PLUS, Q_PLUS
+from latgreen.contour_quadrature import QUAD_REAL, circle
+from latgreen.sphere_backend import P_PLUS, Q_PLUS, level_circle_contour
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,6 +57,36 @@ def test_node_doubling_stability():
     a = integrate(omega_tilde, contour, nodes=256)
     b = integrate(omega_tilde, contour, nodes=512)
     assert abs(a - b) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: circle(0.3 - 0.2j, 1.5),
+        lambda: level_circle_contour(0.5).components[0],
+        lambda: level_circle_contour(2.0).components[0],
+        # the arc from t = 0.9 to 1.2 wraps around t = 1
+        lambda: split_at_sign_changes(level_circle_contour(2.0), [0.9, 0.2]).components[1],
+    ],
+    ids=["circle", "level_r0.5", "level_r2", "wrapping_arc"],
+)
+def test_sample_derivative_matches_points(make):
+    comp = make()
+    # t = 1/3 is where the wrapping arc crosses t = 1 of its circle
+    t = np.append(np.linspace(0.05, 0.95, 7, dtype=QUAD_REAL), QUAD_REAL(1) / 3)
+    z, dz = comp.sample(t)
+    # extended-precision bytes carry padding, so compare values
+    assert np.array_equal(comp.point(t), z)
+    h = QUAD_REAL("1e-6")
+    centered = (comp.point(t + h) - comp.point(t - h)) / (2 * h)
+    assert np.max(np.abs(centered - dz) / np.abs(dz)) < 1e-8
+
+
+def test_rules_need_at_least_one_node():
+    with pytest.raises(ValueError, match="at least 1 node"):
+        integrate(lambda z: 1.0 / z, unit_circle_contour(), nodes=0)
+    with pytest.raises(ValueError, match="at least 1 node"):
+        green_table(2, kind="g0", nodes=0)
 
 
 def test_pole_on_contour_detected():
