@@ -59,8 +59,8 @@ _SIGNED_OPTIONS = ("--lambda", "--target")
 _SIGNED_VALUE = re.compile(r"-[0-9.ij]")
 # an infinity inside a point is kept; any other 'i' is the imaginary unit
 _INF_OR_UNIT = re.compile(r"(inf(?:inity)?)|i")
-# Gauss-Legendre nodes come from an n x n eigenproblem: 4096 nodes already
-# take seconds and hundreds of MB
+# per-node arrays are O(nodes * window) in extended precision, and the
+# Fejer weights an O(nodes**2) sum
 MAX_NODES = 4096
 
 
@@ -97,6 +97,8 @@ def _parse_target(text: str) -> Tuple[int, int]:
 def _check_config(args) -> None:
     if not 16 <= args.nodes <= MAX_NODES:
         raise ValueError(f"--nodes must be in [16, {MAX_NODES}], got {args.nodes}")
+    if args.nodes % 2:
+        raise ValueError(f"--nodes must be even (nested half rules), got {args.nodes}")
     tol = getattr(args, "tol", None)
     if tol is not None and not tol > 0:
         raise ValueError(f"--tol must be positive, got {tol}")

@@ -130,24 +130,25 @@ def _point(dmu: int, dnu: int) -> Bounds:
     return (dmu, dmu), (dnu, dnu)
 
 
-def _arc_products(contour: Contour, offsets: Bounds) -> List[np.ndarray]:
+def _arc_products(contour: Contour, offsets: Bounds, nested: bool = False) -> List[np.ndarray]:
     """Per component, the integrals of the wave differential over offsets.
 
-    ``P[i, j]`` is the integral along the component (orientation included)
-    of psi(z, dm, dn) Omega at the offset (dmu, dnu) = (dmu_lo + i,
-    dnu_lo + j), dm = dmu - dnu, dn = dmu + dnu, in extended precision.
-    ``base`` = Omega * dz/dt * quadrature weights is sampled once per
-    component; with psi = U**dmu V**dnu the window is
-    ``P = (Up * base) @ Vp.T``.  A single point is a 1 x 1 window.
+    ``P[r, i, j]`` is the integral along the component (orientation
+    included) of psi(z, dm, dn) Omega at the offset (dmu_lo + i, dnu_lo +
+    j), dm = dmu - dnu, dn = dmu + dnu, in extended precision: by the rule
+    (r = 0) and, if ``nested``, by its half rule on the nodes [1::2] (r = 1).
+    ``base`` = Omega * dz/dt is sampled once per component; with psi =
+    U**dmu V**dnu, ``P[0] = (Up * base * w) @ Vp.T``.  A point is 1 x 1.
     """
     products = []
     for comp in contour.components:
-        t, w = _component_rule(comp, contour.nodes_per_component)
+        t, w, w_half = _component_rule(comp, contour.nodes_per_component)
         z, dz = comp.sample(t)
-        base = omega_coeff(z) * dz * w * contour.orientation_sign
+        base = omega_coeff(z) * dz * contour.orientation_sign
         up, vp = psi_power_tables(z, *offsets)
-        up *= base
-        products.append(up @ vp.T)
+        halves = [(up[:, 1::2] * (base[1::2] * w_half)) @ vp[:, 1::2].T] if nested else []
+        up *= base * w
+        products.append(np.stack([up @ vp.T, *halves]))
         # free this component's tables before the next one builds its own
         del up, vp
         if not np.all(np.isfinite(products[-1])):
@@ -179,16 +180,16 @@ def _sign_m(offsets: Bounds) -> np.ndarray:
     return np.sign(dmu - dnu)
 
 
-def _green_values(lam, contour: Contour, offsets: Bounds) -> np.ndarray:
+def _green_values(lam, contour: Contour, offsets: Bounds, nested: bool = False) -> np.ndarray:
     split, signs = _level_arcs(lam, contour)
     dm = _sign_m(offsets)
-    products = _arc_products(split, offsets)
+    products = _arc_products(split, offsets, nested)
     total = sum((dm + s) * p for s, p in zip(signs, products))
     return (total / FOUR_PI).astype(complex)
 
 
-def _g0_values(contour: Contour, offsets: Bounds) -> np.ndarray:
-    total = _sign_m(offsets) * sum(_arc_products(contour, offsets))
+def _g0_values(contour: Contour, offsets: Bounds, nested: bool = False) -> np.ndarray:
+    total = _sign_m(offsets) * sum(_arc_products(contour, offsets, nested))
     return (total / FOUR_PI).astype(complex)
 
 
@@ -198,12 +199,12 @@ def kernel_K(contour: Contour, mu: int, nu: int, mu_t: int, nu_t: int) -> comple
     Vanishes on the diagonal sublattice mu - nu = mu_t - nu_t and is
     annihilated by the five-point operator in (mu, nu).
     """
-    return complex(sum(_arc_products(contour, _point(mu - mu_t, nu - nu_t)))[0, 0])
+    return complex(sum(_arc_products(contour, _point(mu - mu_t, nu - nu_t)))[0, 0, 0])
 
 
 def g0(contour: Contour, mu: int, nu: int, mu_t: int, nu_t: int) -> complex:
     """Unnormalized Green's function sgn(m - mt) K / (4 pi) on the contour."""
-    return complex(_g0_values(contour, _point(mu - mu_t, nu - nu_t))[0, 0])
+    return complex(_g0_values(contour, _point(mu - mu_t, nu - nu_t))[0, 0, 0])
 
 
 def green(
@@ -216,7 +217,7 @@ def green(
 ) -> complex:
     """Normalized Green's function at lambda by direct weighted quadrature."""
     values = _green_values(lam, c_contour(lam, nodes), _point(mu - mu_t, nu - nu_t))
-    return complex(values[0, 0])
+    return complex(values[0, 0, 0])
 
 
 def z_correction(
@@ -234,7 +235,7 @@ def z_correction(
     """
     split, signs = _level_arcs(lam, c_contour(lam, nodes))
     products = _arc_products(split, _point(mu - mu_t, nu - nu_t))
-    return complex(sum(s * p for s, p in zip(signs, products))[0, 0] / FOUR_PI)
+    return complex(sum(s * p for s, p in zip(signs, products))[0, 0, 0] / FOUR_PI)
 
 
 @dataclass(eq=False, kw_only=True)
@@ -245,7 +246,7 @@ class GreenTable(LatticeField):
     (mu_t, nu_t): ``values[mu - mu_lo, nu - nu_lo]`` with ``mu_range =
     (mu_lo, mu_hi)`` and ``nu_range = (nu_lo, nu_hi)``.  ``metadata``
     records lambda, node counts, the contour and, when requested, the
-    relative node-halving error estimate ``est_error``.
+    relative node-halving error estimate ``est_error`` (see green_table).
     """
 
     target: Tuple[int, int]
@@ -319,9 +320,9 @@ def green_table(
     ((mu_lo, mu_hi), (nu_lo, nu_hi)) bounds.  For kind="g0", C_lambda is
     used when lam is given and the default separating contour otherwise.
     Tables for two targets agree bit for bit over the same offsets.
-    ``error_estimate`` recomputes the table at half the node count and
-    stores ``est_error`` = max|G_N - G_{N/2}| / max|G_N| (0 for an all-zero
-    table) in the metadata.
+    ``error_estimate`` stores ``est_error`` = max|G_N - G_{N/2}| / max|G_N|
+    (0 for an all-zero table), with G_{N/2} from the nested half rules on
+    the same samples.  ``nodes`` must be even.
     """
     if kind not in ("green", "g0"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -329,14 +330,11 @@ def green_table(
         raise ValueError("normalized green needs lambda")
     bounds = _window_bounds(window, target)
     offsets = _offsets(bounds, target)
-
-    def build(n: int) -> Tuple[Contour, np.ndarray]:
-        ctr = c_contour(lam, n) if lam is not None else default_kernel_contour(n)
-        if kind == "green":
-            return ctr, _green_values(lam, ctr, offsets)
-        return ctr, _g0_values(ctr, offsets)
-
-    ctr, values = build(nodes)
+    ctr = c_contour(lam, nodes) if lam is not None else default_kernel_contour(nodes)
+    if kind == "green":
+        values, *coarse = _green_values(lam, ctr, offsets, error_estimate)
+    else:
+        values, *coarse = _g0_values(ctr, offsets, error_estimate)
     contour_info = {
         key: ctr.metadata[key]
         for key in ("chart_radius", "deformed", "critical_level", "default_kernel")
@@ -345,9 +343,8 @@ def green_table(
     meta: Dict = {"kind": kind, "nodes": nodes, "contour": contour_info}
     meta.update(_lambda_meta(lam))
     if error_estimate:
-        _, coarse = build(nodes // 2)
         scale = np.max(np.abs(values))
-        meta["est_error"] = float(np.max(np.abs(values - coarse)) / scale) if scale > 0 else 0.0
+        meta["est_error"] = float(np.max(np.abs(values - coarse[0])) / scale) if scale > 0 else 0.0
     return GreenTable(bounds[0], bounds[1], values, target=tuple(target), metadata=meta)
 
 

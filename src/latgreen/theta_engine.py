@@ -54,7 +54,7 @@ _SYMMETRY_TOL = 1e-10
 
 
 class ThetaConvergenceError(ValueError):
-    """Im B is not positive definite (or B malformed): the series diverges."""
+    """Im B is not positive definite, B is malformed or tol is outside (0, inf)."""
 
 
 class DivisorSingularityError(ZeroDivisionError):
@@ -70,6 +70,8 @@ def validate_riemann_matrix(B) -> np.ndarray:
     B = np.asarray(B, dtype=complex)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ThetaConvergenceError(f"period matrix must be square, got shape {B.shape}")
+    if not np.all(np.isfinite(B)):
+        raise ThetaConvergenceError("period matrix B has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(B))))
     if float(np.max(np.abs(B - B.T))) > _SYMMETRY_TOL * scale:
         raise ThetaConvergenceError("period matrix is not symmetric")
@@ -116,8 +118,8 @@ def _theta_scaled(z, B, tol: float):
     The bound ``exp(pi <Y^-1 y, y>)`` with y = Im z is the natural scale of
     the series; values far below it sit near the theta divisor.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ThetaConvergenceError(f"tol must be in (0, inf), got {tol}")
     B = validate_riemann_matrix(B)
     z = np.asarray(z, dtype=complex).reshape(-1)
     g = B.shape[0]
@@ -168,6 +170,8 @@ def _as_vector(v, g: int, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape != (g,):
         raise InvalidSpectralDataError(f"{name} must be a {g}-vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidSpectralDataError(f"{name} has non-finite entries")
     return v
 
 
@@ -201,6 +205,8 @@ class JacobianSpectralData:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        if not 0 < self.tol < math.inf:
+            raise InvalidSpectralDataError(f"tol must be in (0, inf), got {self.tol}")
         B = validate_riemann_matrix(self.B)
         g = B.shape[0]
         A_gamma = np.asarray(self.A_gamma, dtype=complex)
@@ -208,6 +214,8 @@ class JacobianSpectralData:
             raise InvalidSpectralDataError(
                 f"A_gamma must hold g = {g} vectors of length {g}, got shape {A_gamma.shape}"
             )
+        if not np.all(np.isfinite(A_gamma)):
+            raise InvalidSpectralDataError("A_gamma has non-finite entries")
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "A_gamma", A_gamma)
         object.__setattr__(self, "K", _as_vector(self.K, g, "K"))

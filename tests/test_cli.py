@@ -197,6 +197,17 @@ def test_nodes_upper_bound_rejected(tmp_path, capsys, nodes, kind):
     assert not out.exists()
 
 
+def test_odd_nodes_rejected(tmp_path, capsys, monkeypatch):
+    # the nested half rules use every other node
+    out = tmp_path / "x.csv"
+    assert run(["green-table", "--g0", "--window", "1", "--nodes", "17", "--out", str(out)]) == 2
+    assert "--nodes must be even" in capsys.readouterr().err
+    monkeypatch.setenv("GREEN_NODES", "33")
+    assert run(["green-table", "--g0", "--window", "1", "--out", str(out)]) == 2
+    assert "got 33" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_green_nodes_above_cap_rejected(monkeypatch, capsys):
     monkeypatch.setenv("GREEN_NODES", "100000000000000000000")
     assert run(["verify"]) == 2
@@ -265,6 +276,23 @@ def test_verify_rejects_asymmetric_matrix(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code = run(["verify", "--backend", str(path)])
     assert code == 2
+
+
+def test_verify_rejects_nan_matrix(tmp_path, capsys):
+    # JSON NaN parses; Im B = I stays positive definite, so only the
+    # finiteness check rejects it
+    path = tmp_path / "nan.json"
+    payload = {
+        "g": 2,
+        "B": [[[0.0, 1.0], [float("nan"), 0.0]], [[float("nan"), 0.0], [0.0, 1.0]]],
+        "K": [[0.0, 0.0], [0.0, 0.0]],
+        "Delta_P": [[0.3, 0.0], [0.0, 0.0]],
+        "Delta_Q": [[0.0, 0.0], [0.1, 0.0]],
+        "A_gamma": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+    }
+    path.write_text(json.dumps(payload))
+    assert run(["verify", "--backend", str(path)]) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 # --- quasimomentum-map ---------------------------------------------------------------

@@ -20,7 +20,7 @@ from latgreen import (
     residue,
     split_at_sign_changes,
 )
-from latgreen.contour_quadrature import QUAD_REAL, circle
+from latgreen.contour_quadrature import QUAD_REAL, _component_rule, circle
 from latgreen.sphere_backend import P_PLUS, Q_PLUS, level_circle_contour
 
 TWO_PI = 2.0 * math.pi
@@ -89,6 +89,16 @@ def test_rules_need_at_least_one_node():
         green_table(2, kind="g0", nodes=0)
 
 
+@pytest.mark.parametrize("nodes", [1, 3, 17])
+def test_rules_need_an_even_node_count(nodes):
+    # the nested half rule uses every other node; the message names the
+    # caller's count, not the half rule's
+    with pytest.raises(ValueError, match=f"got {nodes}$"):
+        integrate(lambda z: 1.0 / z, unit_circle_contour(), nodes=nodes)
+    with pytest.raises(ValueError, match=f"got {nodes}$"):
+        green_table(1, kind="g0", nodes=nodes, error_estimate=True)
+
+
 def test_pole_on_contour_detected():
     # the unit circle hits z = 1 exactly at the t = 0 node
     bad = Contour(components=(circle(0.0, 1.0),), nodes_per_component=256)
@@ -121,8 +131,8 @@ def test_residue_default_radius_from_isolation_points():
 
 def test_residue_radius_halving_invariance():
     for r in (0.6, 0.3, 0.15):
-        a = residue(omega_coeff, 0.0, radius=r, check=False)
-        b = residue(omega_coeff, 0.0, radius=r / 2, check=False)
+        a = residue(omega_coeff, 0.0, radius=r)
+        b = residue(omega_coeff, 0.0, radius=r / 2)
         assert abs(a - b) < 1e-9
 
 
@@ -189,3 +199,35 @@ def test_split_weighted_integral_spectral_accuracy():
 
     split = split_at_sign_changes(contour, RE_Z_CROSSINGS)
     assert integrate(weighted, split, nodes=200) == pytest.approx(exact, abs=1e-12)
+
+
+# --- nested rules ------------------------------------------------------------
+
+def unit_circle_arc():
+    return split_at_sign_changes(unit_circle_contour(), RE_Z_CROSSINGS).components[0]
+
+
+@pytest.mark.parametrize("nodes", [32, 64, 512])
+def test_fejer_weights(nodes):
+    t, w, w_half = _component_rule(unit_circle_arc(), nodes)
+    assert t.size == w.size == nodes - 1
+    e_minus_1 = np.expm1(QUAD_REAL(1))
+    for nodes_, weights in ((t, w), (t[1::2], w_half)):
+        assert weights.dtype == QUAD_REAL
+        assert np.all(weights > 0)
+        assert abs(np.sum(weights) - 1) < 1e-17
+        assert abs(np.sum(weights * np.exp(nodes_)) - e_minus_1) < 1e-17
+
+
+@pytest.mark.parametrize("nodes", [16, 512])
+def test_half_rule_is_every_other_node(nodes):
+    arc = unit_circle_arc()
+    t, _, w_half = _component_rule(arc, nodes)
+    t_half, w_of_half, _ = _component_rule(arc, nodes // 2)
+    assert np.array_equal(t[1::2], t_half)
+    assert np.array_equal(w_half, w_of_half)
+
+    # closed: the trapezoid at nodes / 2 points, rotated by 1 / nodes
+    t, w, w_half = _component_rule(circle(0.0, 1.0), nodes)
+    assert np.max(np.abs(t[1::2] - (np.arange(nodes // 2) + 0.5) / (nodes // 2))) < 1e-18
+    assert np.all(w_half == 2 * w[0])

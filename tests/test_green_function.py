@@ -25,6 +25,8 @@ from latgreen import (
     verify_delta,
     z_correction,
 )
+from latgreen import green_function
+from latgreen.green_function import _level_arcs
 from latgreen.sphere_backend import Q_PLUS, im_p_m_crossings, level_circle_contour
 
 FOUR_PI = 4.0 * math.pi
@@ -312,6 +314,27 @@ def test_table_shape_and_metadata(tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["target"] == [1, -1]
     assert len(payload["values"]) == 25
+
+
+def test_est_error_from_nested_rules(monkeypatch):
+    # at 2 + 2i the contour splits into two arcs, so both rules are Fejer's
+    # and the half rule is the 16-node rule on the same nodes; at 32 nodes
+    # the difference is far above rounding
+    lam = 2 + 2j
+    assert len(_level_arcs(lam, c_contour(lam, 32))[0].components) == 2
+    fine = green_table(4, lam=lam, nodes=32).values
+    coarse = green_table(4, lam=lam, nodes=16).values
+    expected = np.max(np.abs(fine - coarse)) / np.max(np.abs(fine))
+    assert expected > 1e-3
+
+    splits = []
+    split = green_function.split_at_sign_changes
+    monkeypatch.setattr(green_function, "split_at_sign_changes",
+                        lambda *args: splits.append(args) or split(*args))
+    table = green_table(4, lam=lam, nodes=32, error_estimate=True)
+    assert len(splits) == 1
+    assert np.array_equal(table.values, fine)
+    assert table.metadata["est_error"] == pytest.approx(expected, rel=1e-9)
 
 
 def test_single_point_window_delta():

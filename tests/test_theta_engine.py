@@ -77,6 +77,18 @@ def test_invalid_matrices_rejected():
         theta([0.0], [[1j]], tol=0.0)
 
 
+def test_non_finite_matrix_rejected():
+    # every comparison with NaN is False, so symmetry and Im B > 0 pass
+    with pytest.raises(ThetaConvergenceError, match="period matrix B has non-finite"):
+        theta([0.0, 0.0], [[1j, math.nan], [math.nan, 1j]])
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+def test_theta_tol_outside_open_interval_rejected(tol):
+    with pytest.raises(ThetaConvergenceError, match="tol must be in"):
+        theta([0.0], [[1j]], tol=tol)
+
+
 # --- quasi-period factor ------------------------------------------------------
 
 def test_quasi_period_factor_reference_values():
@@ -165,6 +177,27 @@ def test_data_validation():
     with pytest.raises(ThetaConvergenceError):
         JacobianSpectralData(B=[[1j, 0.3], [0.0, 1j]], A_gamma=np.zeros((2, 2)),
                              K=[0.0, 0.0], Delta_P=[0.0, 0.0], Delta_Q=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("field", ["A_gamma", "K", "Delta_P", "Delta_Q"])
+def test_non_finite_data_vector_rejected(field):
+    fields = dict(B=[[1j]], A_gamma=[[0.0]], K=[0.0], Delta_P=[0.3], Delta_Q=[0.1])
+    fields[field] = np.full(np.shape(fields[field]), complex(math.inf, 0.0))
+    with pytest.raises(InvalidSpectralDataError, match=f"{field} has non-finite"):
+        JacobianSpectralData(**fields)
+
+
+def test_non_finite_evaluation_point_rejected():
+    data = JacobianSpectralData(B=[[1j]], A_gamma=[[0.0]], K=[0.0], Delta_P=[0.3], Delta_Q=[0.1])
+    with pytest.raises(InvalidSpectralDataError, match="A_gamma_pt has non-finite"):
+        psi_theta(data, [math.nan], 1.0, 1, 1)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+def test_data_tol_outside_open_interval_rejected(tol):
+    with pytest.raises(InvalidSpectralDataError, match="tol must be in"):
+        JacobianSpectralData(B=[[1j]], A_gamma=[[0.0]], K=[0.0], Delta_P=[0.3], Delta_Q=[0.1],
+                             tol=tol)
 
 
 def test_json_round_trip(tmp_path, rng):
