@@ -30,7 +30,7 @@ from .green_function import (
     residue_lemma_Q,
     verify_delta,
 )
-from .lattice_core import LatticeField, apply_L, check_four_point, coefficients_from_f
+from .lattice_core import LatticeField, apply_L, check_four_point
 from .sphere_backend import (
     INFINITY,
     DegenerateContourError,
@@ -62,6 +62,11 @@ _INF_OR_UNIT = re.compile(r"(inf(?:inity)?)|i")
 # per-node arrays are O(nodes * window) in extended precision, and the
 # Fejer weights an O(nodes**2) sum
 MAX_NODES = 4096
+# each arc holds two (2W+1) x nodes extended-precision power tables and a
+# (2W+1)**2 product, so time and memory grow as W**2
+MAX_WINDOW = 256
+# the map writes grid**2 rows
+MAX_GRID = 4096
 
 
 def _default_nodes() -> int:
@@ -102,8 +107,12 @@ def _check_config(args) -> None:
     tol = getattr(args, "tol", None)
     if tol is not None and not tol > 0:
         raise ValueError(f"--tol must be positive, got {tol}")
-    if getattr(args, "window", 1) is not None and getattr(args, "window", 1) < 0:
-        raise ValueError("--window must be nonnegative")
+    window = getattr(args, "window", 0)
+    if not 0 <= window <= MAX_WINDOW:
+        raise ValueError(f"--window must be in [0, {MAX_WINDOW}], got {window}")
+    grid = getattr(args, "grid", 2)
+    if not 2 <= grid <= MAX_GRID:
+        raise ValueError(f"--grid must be in [2, {MAX_GRID}], got {grid}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +179,7 @@ def _sphere_checks(nodes: int, flip_orientation: bool) -> List[_Check]:
     phi = LatticeField.from_function(
         (-4, 4), (-4, 4), lambda mu, nu: psi(z0, mu - nu, mu + nu)
     )
-    lphi = apply_L(phi, lambda mu, nu: coefficients_from_f(f, mu, nu))
+    lphi = apply_L(phi, f)
     checks.append(_Check("five_point", float(np.max(np.abs(lphi.values))), 1e-12))
 
     # kernel vanishes on the diagonal sublattice
@@ -280,8 +289,6 @@ def cmd_verify(args) -> int:
 
 def cmd_quasimomentum_map(args) -> int:
     _check_config(args)
-    if args.grid < 2:
-        raise ValueError(f"--grid must be >= 2, got {args.grid}")
     for name in ("xmin", "xmax", "ymin", "ymax"):
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"--{name} must be finite, got {getattr(args, name)}")

@@ -368,7 +368,7 @@ def verify_delta(
         kind=kind,
         nodes=nodes,
     )
-    lg = apply_L(table, lambda mu, nu: coefficients_from_f(f, mu, nu))
+    lg = apply_L(table, f)
     if lg.contains(*target):
         lg[target] -= 1
     return float(np.max(np.abs(lg.values)))

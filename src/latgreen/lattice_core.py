@@ -100,8 +100,12 @@ class LatticeIndex:
         return self.m, self.n
 
 
+def _lookup(f: FValues, m: int, n: int) -> float:
+    return f(m, n) if callable(f) else f[(m, n)]
+
+
 def _f_at(f: FValues, m: int, n: int) -> float:
-    value = f(m, n) if callable(f) else f[(m, n)]
+    value = _lookup(f, m, n)
     if value == 0:
         raise SingularCoefficientError(f"f({m}, {n}) = 0 gives a singular coefficient")
     return float(value)
@@ -201,19 +205,17 @@ class LatticeField:
         self.values[self._offset(key)] = value
 
 
-def apply_L(
-    phi: LatticeField, coeffs: Callable[[int, int], FiveptCoefficients]
-) -> LatticeField:
+def apply_L(phi: LatticeField, f: FValues) -> LatticeField:
     """L phi on the interior of phi's window (one site in from each edge).
 
-    ``coeffs(mu, nu)`` gives the stencil at each interior site, usually
-    ``lambda mu, nu: coefficients_from_f(f, mu, nu)``.  The window must be
-    at least 3 x 3.
+    The stencil at each interior site comes from the lattice function f
+    (see :func:`coefficients_from_f`).  The window must be at least 3 x 3.
     """
     (i_lo, i_hi), (j_lo, j_hi) = phi.i_range, phi.j_range
     if i_hi - i_lo < 2 or j_hi - j_lo < 2:
         raise WindowError(f"window {phi.i_range} x {phi.j_range} has no interior")
-    co = [[coeffs(mu, nu) for nu in range(j_lo + 1, j_hi)] for mu in range(i_lo + 1, i_hi)]
+    co = [[coefficients_from_f(f, mu, nu) for nu in range(j_lo + 1, j_hi)]
+          for mu in range(i_lo + 1, i_hi)]
 
     def coeff_array(name: str) -> np.ndarray:
         return np.array([[getattr(c, name) for c in row] for row in co], dtype=float)
@@ -229,14 +231,12 @@ def apply_L(
     return LatticeField((i_lo + 1, i_hi - 1), (j_lo + 1, j_hi - 1), lv)
 
 
-def apply_five_point(
-    phi: LatticeField, coeffs: Callable[[int, int], FiveptCoefficients], mu: int, nu: int
-) -> complex:
+def apply_five_point(phi: LatticeField, f: FValues, mu: int, nu: int) -> complex:
     """Evaluate (L phi) at (mu, nu); the full stencil must be in the window."""
     i, j = phi._offset((mu - 1, nu - 1))
     phi._offset((mu + 1, nu + 1))  # raises unless the whole stencil is inside
     stencil = LatticeField((mu - 1, mu + 1), (nu - 1, nu + 1), phi.values[i : i + 3, j : j + 3])
-    return apply_L(stencil, coeffs)[(mu, nu)]
+    return apply_L(stencil, f)[(mu, nu)]
 
 
 def check_four_point(psi: LatticeField, f: FValues) -> float:
@@ -248,7 +248,7 @@ def check_four_point(psi: LatticeField, f: FValues) -> float:
     """
     (m_lo, m_hi), (n_lo, n_hi) = psi.i_range, psi.j_range
     fv = np.array(
-        [[f(m, n) if callable(f) else f[(m, n)] for n in range(n_lo, n_hi)]
+        [[_lookup(f, m, n) for n in range(n_lo, n_hi)]
          for m in range(m_lo, m_hi)],
         dtype=float,
     ).reshape(m_hi - m_lo, n_hi - n_lo)

@@ -132,11 +132,25 @@ def _is_inf(z: SpherePoint) -> bool:
     return isinstance(z, _Infinity)
 
 
+def _finite(z):
+    """An ndarray as given, any other point as a Python complex: one formula serves both."""
+    return z if isinstance(z, np.ndarray) else complex(z)
+
+
+def _check_poles(z, what: str, *poles: Tuple[complex, int]) -> None:
+    """PoleError if the point z is one of the ``(pole, order)`` with order > 0; arrays pass."""
+    if isinstance(z, np.ndarray):
+        return
+    for pole, order in poles:
+        if order > 0 and z == pole:
+            raise PoleError(z, order, what)
+
+
 def sigma(z: SpherePoint) -> SpherePoint:
     """Holomorphic involution z -> -z (fixing R+ and R-)."""
     if _is_inf(z):
         return INFINITY
-    return -complex(z)
+    return -_finite(z)
 
 
 def tau(z: SpherePoint) -> SpherePoint:
@@ -154,61 +168,42 @@ def f(m: int, n: int) -> float:
     return 1.0
 
 
-def _ipow(base, k: int):
-    """base**k for integer k >= 0 by binary exponentiation (no logs, no cuts)."""
-    result = None
+def _ratio_pow(num, den, k: int):
+    """(num/den)**k by binary exponentiation (no logs, no cuts), the quotient
+    oriented so zeros never divide."""
+    if k == 0:
+        return np.ones_like(num) if isinstance(num, np.ndarray) else 1.0 + 0.0j
+    if k < 0:
+        num, den, k = den, num, -k
+    base, result = num / den, None
     while k:
         if k & 1:
             result = base if result is None else result * base
         base = base * base
         k >>= 1
-    if result is None:
-        return np.ones_like(base) if isinstance(base, np.ndarray) else 1.0 + 0.0j
     return result
 
 
-def _ratio_pow(num, den, k: int):
-    """(num/den)**k with the quotient oriented so zeros never divide."""
-    if k == 0:
-        return np.ones_like(num) if isinstance(num, np.ndarray) else 1.0 + 0.0j
-    if k < 0:
-        num, den = den, num
-        k = -k
-    return _ipow(num / den, k)
-
-
-def _check_psi_poles(z: complex, m: int, n: int) -> None:
-    if z == P_PLUS and m > 0:
-        raise PoleError(P_PLUS, m, "psi")
-    if z == P_MINUS and m < 0:
-        raise PoleError(P_MINUS, -m, "psi")
-    if z == Q_PLUS and n > 0:
-        raise PoleError(Q_PLUS, n, "psi")
-    if z == Q_MINUS and n < 0:
-        raise PoleError(Q_MINUS, -n, "psi")
+def _factor(z, p: complex, k: int):
+    """((z + p)/(z - p))**k: a pole of order k at p for k > 0, of order -k at -p for k < 0."""
+    _check_poles(z, "psi", (p, k), (-p, -k))
+    return _ratio_pow(z + p, z - p, k)
 
 
 def psi(z: SpherePoint, m: int, n: int):
     """Wave function ((z+1)/(z-1))**m ((z+i)/(z-i))**n, psi(R+) = 1.
 
-    Accepts a scalar point (with exact pole checks) or an ndarray of
-    points already known to avoid the poles.
+    Accepts a point (with exact pole checks) or an ndarray of points
+    already known to avoid the poles.
     """
     if _is_inf(z):
         return 1.0 + 0.0j
-    if isinstance(z, np.ndarray):
-        return _ratio_pow(z + 1.0, z - 1.0, m) * _ratio_pow(z + 1j, z - 1j, n)
-    zc = complex(z)
-    _check_psi_poles(zc, m, n)
-    return complex(_ratio_pow(zc + 1.0, zc - 1.0, m) * _ratio_pow(zc + 1j, zc - 1j, n))
+    z = _finite(z)
+    return _factor(z, P_PLUS, m) * _factor(z, Q_PLUS, n)
 
 
 def psi_dual(z: SpherePoint, m: int, n: int):
     """Dual wave function psi(sigma z, m, n)."""
-    if _is_inf(z):
-        return 1.0 + 0.0j
-    if isinstance(z, np.ndarray):
-        return psi(-z, m, n)
     return psi(sigma(z), m, n)
 
 
@@ -242,36 +237,50 @@ def omega_coeff(z: SpherePoint):
     """dz-coefficient of Omega = -dz/(2z); poles at R+ and R-."""
     if _is_inf(z):
         raise PoleError(INFINITY, 1, "Omega")
-    if isinstance(z, np.ndarray):
-        return -0.5 / z
-    zc = complex(z)
-    if zc == 0:
-        raise PoleError(0.0 + 0.0j, 1, "Omega")
-    return -0.5 / zc
+    z = _finite(z)
+    _check_poles(z, "Omega", (R_MINUS, 1))
+    return -0.5 / z
+
+
+def _dp(z: SpherePoint, p: complex, what: str):
+    """dz-coefficient of i dz/(z-p) - i dz/(z+p), residues i at p and -i at -p."""
+    if _is_inf(z):
+        return 0.0 + 0.0j
+    z = _finite(z)
+    _check_poles(z, what, (p, 1), (-p, 1))
+    return 1j / (z - p) - 1j / (z + p)
 
 
 def dp_m_coeff(z: SpherePoint):
     """dz-coefficient of dp_m = i dz/(z-1) - i dz/(z+1)."""
-    if _is_inf(z):
-        return 0.0 + 0.0j
-    if isinstance(z, np.ndarray):
-        return 1j / (z - 1.0) - 1j / (z + 1.0)
-    zc = complex(z)
-    if zc == P_PLUS or zc == P_MINUS:
-        raise PoleError(zc, 1, "dp_m")
-    return complex(1j / (zc - 1.0) - 1j / (zc + 1.0))
+    return _dp(z, P_PLUS, "dp_m")
 
 
 def dp_n_coeff(z: SpherePoint):
     """dz-coefficient of dp_n = i dz/(z-i) - i dz/(z+i)."""
+    return _dp(z, Q_PLUS, "dp_n")
+
+
+# np.log with log 0 = -inf and no warning
+_log0 = np.errstate(divide="ignore")(np.log)
+
+
+def _log_ratio(z: SpherePoint, p: complex):
+    """log |(z+p)/(z-p)|: +inf at p, -inf at -p, 0 at infinity.
+
+    A point takes ``math.log`` and an array ``np.log``: they can differ in
+    the last bit.
+    """
     if _is_inf(z):
-        return 0.0 + 0.0j
+        return 0.0
+    z = _finite(z)
     if isinstance(z, np.ndarray):
-        return 1j / (z - 1j) - 1j / (z + 1j)
-    zc = complex(z)
-    if zc == Q_PLUS or zc == Q_MINUS:
-        raise PoleError(zc, 1, "dp_n")
-    return complex(1j / (zc - 1j) - 1j / (zc + 1j))
+        log = _log0
+    elif z == p or z == -p:
+        return math.inf if z == p else -math.inf
+    else:
+        log = math.log
+    return log(abs(z + p)) - log(abs(z - p))
 
 
 def im_p_m(z: SpherePoint):
@@ -279,32 +288,12 @@ def im_p_m(z: SpherePoint):
 
     Normalized so |psi(z, m, n)| = exp(m im_p_m + n im_p_n) exactly.
     """
-    if _is_inf(z):
-        return 0.0
-    if isinstance(z, np.ndarray):
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(z + 1.0)) - np.log(np.abs(z - 1.0))
-    zc = complex(z)
-    if zc == P_PLUS:
-        return math.inf
-    if zc == P_MINUS:
-        return -math.inf
-    return math.log(abs(zc + 1.0)) - math.log(abs(zc - 1.0))
+    return _log_ratio(z, P_PLUS)
 
 
 def im_p_n(z: SpherePoint):
     """Growth rate log |(z+i)/(z-i)|; +inf at Q+, -inf at Q-."""
-    if _is_inf(z):
-        return 0.0
-    if isinstance(z, np.ndarray):
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(z + 1j)) - np.log(np.abs(z - 1j))
-    zc = complex(z)
-    if zc == Q_PLUS:
-        return math.inf
-    if zc == Q_MINUS:
-        return -math.inf
-    return math.log(abs(zc + 1j)) - math.log(abs(zc - 1j))
+    return _log_ratio(z, Q_PLUS)
 
 
 def im_p_m_crossings(radius: float, h: float) -> np.ndarray:

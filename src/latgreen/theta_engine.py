@@ -11,8 +11,10 @@ moduli are ``exp(-pi <Y N, N> - 2 pi <N, Im z>)`` with ``Y = Im B``, a
 Gaussian in N centered at ``c = -Y^{-1} Im z``, so the sum is truncated to
 the integer points of the ellipsoid ``<Y (N - c), N - c> <= rho**2`` with
 rho chosen from the Gaussian tail so the discarded part is below ``tol``
-relative to the largest term.  Terms are accumulated smallest-first, which
-fixes the summation order and keeps the evaluation deterministic.
+relative to the largest term.  The tail around c does not depend on c, so
+neither does rho.  Terms are accumulated smallest-first, which fixes the
+summation order and keeps the evaluation deterministic.  Arguments whose
+largest term ``exp(pi <Y^-1 Im z, Im z>)`` overflows a float are rejected.
 
 The wave function attached to genus-g spectral data is evaluated from
 caller-supplied Jacobian-level quantities (the period matrix, the theta
@@ -51,10 +53,13 @@ DEFAULT_TOL = 1e-12
 # symmetry is structural, not a numerical accident: reject anything beyond
 # roundoff-scale asymmetry
 _SYMMETRY_TOL = 1e-10
+# the log of the largest float: a larger series scale overflows
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class ThetaConvergenceError(ValueError):
-    """Im B is not positive definite, B is malformed or tol is outside (0, inf)."""
+    """Im B is not positive definite, B is malformed, tol is outside (0, inf)
+    or the series overflows a float."""
 
 
 class DivisorSingularityError(ZeroDivisionError):
@@ -84,17 +89,25 @@ def validate_riemann_matrix(B) -> np.ndarray:
 
 
 def _truncation_lattice(Y: np.ndarray, y: np.ndarray, tol: float):
-    """Integer points covering the Gaussian mass up to relative ``tol``."""
+    """Integer points covering the Gaussian mass up to relative ``tol``.
+
+    Term moduli are exp(pi <Y c, c> - pi |N - c|_Y**2), so the tail beyond
+    the Y-radius rho around c is independent of c: each term there is below
+    exp(-pi rho**2) in units of exp(pi <Y c, c>), and a ball of Y-radius r
+    holds at most (2 r / sqrt(lam_min) + 1)**g integer points.  Some
+    integer point lies within |N - c|_Y**2 <= lam_max g / 4 of c, which
+    bounds the largest retained term from below.
+    """
     g = Y.shape[0]
-    lam_min = float(np.linalg.eigvalsh(Y).min())
+    eigs = np.linalg.eigvalsh(Y)
+    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     c = -np.linalg.solve(Y, y)
-    rho0 = math.sqrt(max(float(c @ (Y @ c)), 0.0))
-    rho = max(1.0, rho0)
-    target = math.log(1.0 / tol) + math.log(100.0)
+    rho = 1.0
+    target = math.log(1.0 / tol) + math.log(100.0) + math.pi * lam_max * g / 4.0
     while True:
         margin = (
-            math.pi * lam_min * (rho - rho0) ** 2
-            - g * math.log(2.0 * rho + 3.0)
+            math.pi * rho ** 2
+            - g * math.log(2.0 * (rho + 1.0) / math.sqrt(lam_min) + 1.0)
             - g * math.log(3.0)
         )
         if margin >= target:
@@ -127,15 +140,24 @@ def _theta_scaled(z, B, tol: float):
         raise ValueError(f"argument must be a {g}-vector, got shape {z.shape}")
     Y = B.imag
     y = z.imag
-    terms = [
-        np.exp(1j * np.pi * (B @ N) @ N + 2j * np.pi * (N @ z))
-        for N in _truncation_lattice(Y, y, tol)
-    ]
-    terms.sort(key=abs)
-    total = 0.0 + 0.0j
-    for t in terms:
-        total += t
-    log_scale = math.pi * float(y @ np.linalg.solve(Y, y))
+    # an overflow is not warned of but rejected: first a largest term
+    # exp(log_scale) beyond the floats, then a sum that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_scale = math.pi * float(y @ np.linalg.solve(Y, y))
+        if not log_scale <= _LOG_FLOAT_MAX:
+            raise ThetaConvergenceError(
+                f"theta overflows: pi <Y^-1 Im z, Im z> = {log_scale:.4g} > {_LOG_FLOAT_MAX:.4g}"
+            )
+        terms = [
+            np.exp(1j * np.pi * (B @ N) @ N + 2j * np.pi * (N @ z))
+            for N in _truncation_lattice(Y, y, tol)
+        ]
+        terms.sort(key=abs)
+        total = 0.0 + 0.0j
+        for t in terms:
+            total += t
+    if not np.isfinite(total):
+        raise ThetaConvergenceError("theta overflows: the truncated sum is not finite")
     return total, log_scale
 
 
@@ -322,11 +344,18 @@ def save_jacobian_data(data: JacobianSpectralData, path: Union[str, Path]) -> No
 
 
 def load_jacobian_data(path: Union[str, Path]) -> JacobianSpectralData:
-    """Read spectral data from JSON, validating shape and matrix conditions."""
+    """Read spectral data from JSON, validating shape and matrix conditions.
+
+    A file that cannot be read raises its ``OSError``; one that is not a
+    JSON object raises :class:`InvalidSpectralDataError`.
+    """
+    text = Path(path).read_text()
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidSpectralDataError(f"cannot read spectral data: {exc}") from exc
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidSpectralDataError(f"spectral data is not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InvalidSpectralDataError("spectral data is not a JSON object")
     required = {"g", "B", "K", "Delta_P", "Delta_Q", "A_gamma"}
     missing = required - payload.keys()
     if missing:

@@ -1,9 +1,25 @@
 from __future__ import annotations
 
+import tempfile
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# property tests draw the same examples on every run and keep no example
+# database, so a run is repeatable
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+
+
+def pytest_configure(config):
+    # Hypothesis still caches the constants it reads from the sources while
+    # collecting; that cache goes to a temporary directory, not to .hypothesis/
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from latgreen import (
     LatticeField,
     apply_five_point,
     check_four_point,
-    coefficients_from_f,
     default_kernel_contour,
     dp_n_coeff,
     g0,
@@ -194,7 +193,7 @@ def test_criterion_8_four_five_point_consistency():
     phi = LatticeField.from_function(
         (-4, 4), (-4, 4), lambda mu, nu: psi(z0, mu - nu, mu + nu)
     )
-    coeffs = lambda mu, nu: coefficients_from_f(f, mu, nu)
+    coeffs = f
     res5 = 0.0
     for mu in range(-3, 4):
         for nu in range(-3, 4):

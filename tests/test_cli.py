@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from latgreen.cli import build_parser, main, parse_point
+from latgreen.cli import _check_config, build_parser, main, parse_point
 from latgreen.sphere_backend import INFINITY
 
 from conftest import random_jacobian_data
@@ -225,6 +225,24 @@ def test_map_grid_lower_bound(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["green-table", "--g0", "--window", "257"], "--window must be in [0, 256], got 257"),
+    (["green-table", "--g0", "--window", "100000000000000000000"], "--window must be in [0, 256]"),
+    (["quasimomentum-map", "--grid", "4097"], "--grid must be in [2, 4096], got 4097"),
+    (["quasimomentum-map", "--grid", "100000000000000000000"], "--grid must be in [2, 4096]"),
+], ids=["window-257", "window-1e20", "grid-4097", "grid-1e20"])
+def test_window_and_grid_upper_bounds_rejected(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    argv = argv + ["--out", str(out)]
+    # checked on the parsed options first: without the cap the command
+    # itself would run for minutes or exhaust memory
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _check_config(build_parser().parse_args(argv))
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_green_nodes_env_override(monkeypatch):
     monkeypatch.setenv("GREEN_NODES", "777")
     parser = build_parser()
@@ -261,6 +279,22 @@ def test_verify_theta_backend(tmp_path, rng, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "monodromy" in out
+
+
+def test_verify_unreadable_data_file_is_io_failure(tmp_path, capsys):
+    assert run(["verify", "--backend", str(tmp_path / "missing.json")]) == 3
+    assert "I/O failure" in capsys.readouterr().err
+    assert run(["verify", "--backend", str(tmp_path)]) == 3  # a directory
+
+
+def test_verify_malformed_data_file_is_rejected(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("not json at all")
+    assert run(["verify", "--backend", str(path)]) == 2
+    assert "not JSON" in capsys.readouterr().err
+    path.write_text("[1, 2]")
+    assert run(["verify", "--backend", str(path)]) == 2
+    assert "not a JSON object" in capsys.readouterr().err
 
 
 def test_verify_rejects_asymmetric_matrix(tmp_path, capsys):

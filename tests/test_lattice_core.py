@@ -80,26 +80,26 @@ def test_coefficient_sum_identity(mu, nu, seed):
     assert co.c == pytest.approx(co.neighbour_sum(), abs=1e-15)
 
 
-def _unit_coeffs(mu, nu):
-    return coefficients_from_f(lambda m, n: 1.0, mu, nu)
+def _unit_f(m, n):
+    return 1.0
 
 
 def test_five_point_constant_field_annihilated():
     phi = LatticeField.from_function((-3, 3), (-3, 3), lambda i, j: 1.0)
     for mu in range(-2, 3):
         for nu in range(-2, 3):
-            assert apply_five_point(phi, _unit_coeffs, mu, nu) == 0
+            assert apply_five_point(phi, _unit_f, mu, nu) == 0
 
 
 def test_five_point_kronecker_delta():
     phi = LatticeField.from_function((-2, 2), (-2, 2), lambda i, j: 1.0 if (i, j) == (0, 0) else 0.0)
-    assert apply_five_point(phi, _unit_coeffs, 0, 0) == -4
+    assert apply_five_point(phi, _unit_f, 0, 0) == -4
 
 
 def test_five_point_out_of_window():
     phi = LatticeField.from_function((-1, 1), (-1, 1), lambda i, j: 1.0)
     with pytest.raises(WindowError):
-        apply_five_point(phi, _unit_coeffs, 1, 0)
+        apply_five_point(phi, _unit_f, 1, 0)
 
 
 @given(
@@ -118,9 +118,9 @@ def test_five_point_linearity(alpha_re, alpha_im, beta_re, beta_im, seed):
     phi1 = LatticeField.from_function(*w, lambda i, j: complex(*rng.normal(size=2)))
     phi2 = LatticeField.from_function(*w, lambda i, j: complex(*rng.normal(size=2)))
     combo = LatticeField.from_function(*w, lambda i, j: alpha * phi1[(i, j)] + beta * phi2[(i, j)])
-    got = apply_five_point(combo, _unit_coeffs, 0, 0)
-    want = alpha * apply_five_point(phi1, _unit_coeffs, 0, 0) + beta * apply_five_point(
-        phi2, _unit_coeffs, 0, 0
+    got = apply_five_point(combo, _unit_f, 0, 0)
+    want = alpha * apply_five_point(phi1, _unit_f, 0, 0) + beta * apply_five_point(
+        phi2, _unit_f, 0, 0
     )
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -142,7 +142,7 @@ def test_five_point_annihilates_sphere_wave_function():
     z0 = 2.0 + 0.0j
     phi = LatticeField.from_function((-4, 4), (-4, 4), lambda mu, nu: psi(z0, mu - nu, mu + nu))
     worst = max(
-        abs(apply_five_point(phi, _unit_coeffs, mu, nu))
+        abs(apply_five_point(phi, _unit_f, mu, nu))
         for mu in range(-3, 4)
         for nu in range(-3, 4)
     )
@@ -179,7 +179,7 @@ def test_field_values_are_an_offset_ndarray():
 def test_apply_L_matches_docstring_loop():
     f = _random_f(2)
     phi = _random_field(3, (-3, 3), (2, 10))
-    got = apply_L(phi, lambda mu, nu: coefficients_from_f(f, mu, nu))
+    got = apply_L(phi, f)
     assert (got.i_range, got.j_range) == ((-2, 2), (3, 9))
     for mu in range(-2, 3):
         for nu in range(3, 10):
@@ -196,7 +196,10 @@ def test_apply_L_matches_docstring_loop():
             ]
             scale = sum(abs(t) for t in terms)
             assert abs(got[(mu, nu)] - sum(terms)) <= 1e-15 * scale
-            assert apply_five_point(phi, lambda i, j: coefficients_from_f(f, i, j), mu, nu) == got[(mu, nu)]
+            assert apply_five_point(phi, f, mu, nu) == got[(mu, nu)]
+    # a mapping f gives the same field as the callable f
+    table = {(m, n): f(m, n) for m in range(-14, 3) for n in range(-2, 14)}
+    assert np.array_equal(apply_L(phi, table).values, got.values)
 
 
 def test_check_four_point_matches_loop():

@@ -113,6 +113,55 @@ def test_psi_dual_growth_equality():
                 assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+# --- one formula for points and arrays -----------------------------------
+
+# regular points, then points within 1e-7 of P+, P-, Q+, Q- and R-
+_POINTS = (
+    0.7 - 1.3j, -2.5 + 0.4j, 3.0, 2j, 1 + 1e-7j, -1 - 1e-7, 1e-7 + 1j, 1e-7 - 1j, 1e-9 + 1e-9j,
+)
+
+
+def test_points_and_arrays_share_one_formula():
+    functions = {
+        "psi": lambda z: psi(z, 3, -2),
+        "psi_dual": lambda z: psi_dual(z, -1, 2),
+        "omega_coeff": omega_coeff,
+        "dp_m_coeff": dp_m_coeff,
+        "dp_n_coeff": dp_n_coeff,
+        "im_p_m": im_p_m,
+        "im_p_n": im_p_n,
+        "sigma": sigma,
+    }
+    for name, fn in functions.items():
+        for z in _POINTS:
+            array = fn(np.array([z]))
+            assert isinstance(array, np.ndarray) and array.shape == (1,), name
+            assert fn(z) == pytest.approx(array[0], rel=1e-15, abs=1e-15), (name, z)
+    # points keep math.log bit for bit (numpy's log can differ in the last bit)
+    for z in _POINTS:
+        assert im_p_m(z) == math.log(abs(z + 1)) - math.log(abs(z - 1))
+        assert im_p_n(z) == math.log(abs(z + 1j)) - math.log(abs(z - 1j))
+    # every pole of a point still raises with its order
+    poles = [
+        (lambda: psi(P_PLUS, 2, 1), 2),
+        (lambda: psi(P_MINUS, -3, 1), 3),
+        (lambda: psi(Q_PLUS, 0, 1), 1),
+        (lambda: psi(Q_MINUS, 5, -4), 4),
+        (lambda: psi_dual(P_MINUS, 2, 0), 2),
+        (lambda: psi_dual(Q_PLUS, 0, -3), 3),
+        (lambda: omega_coeff(R_MINUS), 1),
+        (lambda: omega_coeff(INFINITY), 1),
+        (lambda: dp_m_coeff(P_PLUS), 1),
+        (lambda: dp_m_coeff(P_MINUS), 1),
+        (lambda: dp_n_coeff(Q_PLUS), 1),
+        (lambda: dp_n_coeff(Q_MINUS), 1),
+    ]
+    for call, order in poles:
+        with pytest.raises(PoleError) as info:
+            call()
+        assert info.value.order == order
+
+
 # --- involutions and marked points ---------------------------------------
 
 def test_involution_structure():

@@ -18,6 +18,8 @@ from latgreen import (
     theta_quasi_period_factor,
 )
 
+from latgreen.theta_engine import DEFAULT_TOL, _truncation_lattice
+
 from conftest import brute_theta, random_jacobian_data, random_period_matrix
 
 
@@ -87,6 +89,39 @@ def test_non_finite_matrix_rejected():
 def test_theta_tol_outside_open_interval_rejected(tol):
     with pytest.raises(ThetaConvergenceError, match="tol must be in"):
         theta([0.0], [[1j]], tol=tol)
+
+
+def test_truncation_radius_ignores_the_center():
+    # c = -Y^-1 Im z is an integer vector at y = 0 and at y = 3, so the two
+    # point sets are translates of each other
+    Y = np.eye(4)
+    counts = [len(_truncation_lattice(Y, np.full(4, y), DEFAULT_TOL)) for y in (0.0, 3.0)]
+    assert counts[0] == counts[1]
+
+
+def test_genus_two_far_from_the_real_axis_against_brute_oracle():
+    B = np.array([[1j, 0.3], [0.3, 1j]])
+    z = np.array([0.17 + 2.0j, -0.4 + 2.0j])
+    assert theta(z, B) == pytest.approx(brute_theta(z, B), rel=1e-10)
+    # the radius is the one at the origin: same count, translated by c = (-2, -2)
+    assert len(_truncation_lattice(B.imag, z.imag, DEFAULT_TOL)) == len(
+        _truncation_lattice(B.imag, np.zeros(2), DEFAULT_TOL)
+    )
+
+
+def test_overflowing_series_rejected():
+    # an Im z of 1e300, and a largest term exp(pi * 16**2) beyond float max
+    for z, B in (([0.1, 0.2 + 1e300j], 1j * np.eye(2)), ([0.1 + 16j], [[1j]])):
+        with pytest.raises(ThetaConvergenceError, match="overflows"):
+            theta(z, B)
+        g = len(z)
+        data = JacobianSpectralData(
+            B=B, A_gamma=np.zeros((g, g)), K=np.zeros(g), Delta_P=np.zeros(g), Delta_Q=np.zeros(g)
+        )
+        with pytest.raises(ThetaConvergenceError, match="overflows"):
+            psi_theta(data, z, 1.0, 1, 0)
+    # pi * 15**2 = 706.9 is just below log(float max) = 709.8
+    assert np.isfinite(theta([0.1 + 15j], [[1j]]))
 
 
 # --- quasi-period factor ------------------------------------------------------
