@@ -10,12 +10,10 @@ verification runs.
 from .lattice_core import (
     FiveptCoefficients,
     LatticeField,
-    LatticeIndex,
     ParityError,
     SingularCoefficientError,
     WindowError,
     apply_L,
-    apply_five_point,
     check_four_point,
     coefficients_from_f,
     from_sublattice,
@@ -24,12 +22,9 @@ from .lattice_core import (
 from .contour_quadrature import (
     Contour,
     CurveComponent,
-    NotACContourError,
     PoleOnContourError,
     integrate,
-    normalize_orientation,
     residue,
-    residue_at_infinity,
     split_at_sign_changes,
 )
 from .sphere_backend import (
@@ -71,7 +66,6 @@ from .green_function import (
     residue_lemma_P,
     residue_lemma_Q,
     verify_delta,
-    z_correction,
 )
 
 __version__ = "0.1.0"

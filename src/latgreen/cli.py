@@ -1,11 +1,11 @@
 """Batch front end: tables, verification suite, quasimomentum maps.
 
 Exit codes: 0 success, 1 failed verification check (or a green-table
-relative estimate above --tol), 2 degenerate contour or rejected
-configuration, 3 I/O failure.  The GREEN_NODES environment variable
-overrides the built-in default node count; an explicit --nodes beats
-both.  Outputs are plain CSV/JSON with complex values as separate re/im
-columns, and identical inputs produce byte-identical files.
+relative node-halving estimate above --tol, 1e-10 by default; the table
+is still written), 2 degenerate contour or rejected configuration, 3 I/O
+failure.  The node count is --nodes (512 by default).  Outputs are plain
+CSV/JSON with complex values as separate re/im columns, and identical
+inputs produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import cmath
 import csv
 import json
 import math
-import os
 import re
 import sys
 from typing import List, Optional, Tuple
@@ -67,16 +66,6 @@ MAX_NODES = 4096
 MAX_WINDOW = 256
 # the map writes grid**2 rows
 MAX_GRID = 4096
-
-
-def _default_nodes() -> int:
-    raw = os.environ.get("GREEN_NODES")
-    if raw is None:
-        return DEFAULT_NODES
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"GREEN_NODES={raw!r} is not an integer") from None
 
 
 def parse_point(text: str):
@@ -140,7 +129,7 @@ def cmd_green_table(args) -> int:
         table.write_json(out)
     est = table.metadata.get("est_error")
     print(f"wrote {out} ({table.values.size} values, est_error={est:.3e})")
-    if args.tol is not None and est > args.tol:
+    if est > args.tol:
         print(f"warning: relative node-halving estimate {est:.3e} exceeds --tol {args.tol:.1e}",
               file=sys.stderr)
         return 1
@@ -224,8 +213,8 @@ def _sphere_checks(nodes: int, flip_orientation: bool) -> List[_Check]:
     checks.append(_Check("delta_green", verify_delta(lam, 4, nodes=nodes, kind="green"), 1e-8))
 
     # growth-bound stabilization of the normalized kernel
-    fit4, _ = growth_check(lam, 4, nodes=nodes)
-    fit8, _ = growth_check(lam, 8, nodes=nodes)
+    fit4 = growth_check(lam, 4, nodes=nodes)
+    fit8 = growth_check(lam, 8, nodes=nodes)
     checks.append(_Check("growth_stable", fit8 / fit4 - 1.0, 0.05))
     return checks
 
@@ -339,22 +328,22 @@ def build_parser() -> argparse.ArgumentParser:
         "from spectral data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    nodes_default = _default_nodes()
 
     p_table = sub.add_parser("green-table", help="tabulate g0 or the normalized green")
     p_table.add_argument("--lambda", dest="lam", default=None, help="a+bi, re,im or inf")
     p_table.add_argument("--target", default="0,0", help="mu,nu of the delta source")
     p_table.add_argument("--window", type=int, default=4, help="half-size around the target")
     p_table.add_argument("--g0", action="store_true", help="bare kernel instead of normalized")
-    p_table.add_argument("--nodes", type=int, default=nodes_default)
-    p_table.add_argument("--tol", type=float, default=None)
+    p_table.add_argument("--nodes", type=int, default=DEFAULT_NODES)
+    p_table.add_argument("--tol", type=float, default=1e-10,
+                         help="exit 1 if the relative node-halving estimate exceeds this")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", default=None)
     p_table.set_defaults(func=cmd_green_table)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("--backend", default="sphere", help="'sphere' or theta-data JSON path")
-    p_verify.add_argument("--nodes", type=int, default=nodes_default)
+    p_verify.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     p_verify.add_argument("--tol", type=float, default=None, help="override all check tolerances")
     p_verify.add_argument(
         "--flip-orientation",
@@ -371,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--grid", type=int, default=61, help="samples per axis")
     p_map.add_argument("--lambda", dest="lam", action="append", default=[],
                        help="emit the level set through this point (repeatable)")
-    p_map.add_argument("--nodes", type=int, default=nodes_default)
+    p_map.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     p_map.add_argument("--out", default="quasimomentum_map.csv")
     p_map.add_argument("--contours-out", dest="contours_out", default=None)
     p_map.set_defaults(func=cmd_quasimomentum_map)

@@ -25,14 +25,11 @@ import numpy as np
 
 __all__ = [
     "PoleOnContourError",
-    "NotACContourError",
     "CurveComponent",
     "Contour",
     "circle",
     "integrate",
     "residue",
-    "residue_at_infinity",
-    "normalize_orientation",
     "split_at_sign_changes",
     "DEFAULT_NODES",
 ]
@@ -43,7 +40,6 @@ DEFAULT_NODES = 512
 QUAD_DTYPE = np.clongdouble
 QUAD_REAL = np.longdouble
 
-TWO_PI = 2.0 * np.pi
 # extended-precision turn for curve parameterizations: a float64 2*pi leaves
 # a ~1e-16 closure gap that caps absolute quadrature accuracy on large
 # integrands
@@ -54,10 +50,6 @@ DifferentialEvaluator = Callable[[np.ndarray], np.ndarray]
 
 class PoleOnContourError(ArithmeticError):
     """An integrand sample on the contour was not finite."""
-
-
-class NotACContourError(ValueError):
-    """The curve does not have the homology of a valid C-contour."""
 
 
 @dataclass(frozen=True)
@@ -73,11 +65,6 @@ class CurveComponent:
 
     def point(self, t: np.ndarray) -> np.ndarray:
         return self.sample(t)[0]
-
-    def close_up_gap(self) -> float:
-        """Distance between the two parameterization endpoints."""
-        ends = self.point(np.array([0.0, 1.0], dtype=QUAD_REAL))
-        return float(abs(ends[1] - ends[0]))
 
 
 @dataclass
@@ -133,21 +120,17 @@ def _component_rule(comp: CurveComponent, nodes: int) -> Tuple[np.ndarray, np.nd
     return t, w, _fejer2(nodes // 2)[1]
 
 
-def integrate(
-    omega: DifferentialEvaluator,
-    contour: Contour,
-    nodes: Optional[int] = None,
-) -> complex:
+def integrate(omega: DifferentialEvaluator, contour: Contour) -> complex:
     """Integrate the differential ``omega(z) dz`` along the contour.
 
-    ``omega`` returns the coefficient against dz; dz/dt from each
-    component's ``sample`` and the orientation sign are applied here.  A
-    non-finite sample raises :class:`PoleOnContourError`.
+    Each component takes ``contour.nodes_per_component`` nodes.  ``omega``
+    returns the coefficient against dz; dz/dt from each component's
+    ``sample`` and the orientation sign are applied here.  A non-finite
+    sample raises :class:`PoleOnContourError`.
     """
-    n = int(nodes) if nodes is not None else contour.nodes_per_component
     total = QUAD_DTYPE(0)
     for comp in contour.components:
-        t, w, _ = _component_rule(comp, n)
+        t, w, _ = _component_rule(comp, contour.nodes_per_component)
         z, dz = comp.sample(t)
         with np.errstate(divide="ignore", invalid="ignore"):
             samples = np.asarray(omega(z), dtype=QUAD_DTYPE) * dz
@@ -196,40 +179,6 @@ def residue(
             stacklevel=2,
         )
     return value
-
-
-def residue_at_infinity(
-    omega: DifferentialEvaluator,
-    radius: float = 50.0,
-    nodes: int = 512,
-) -> complex:
-    """Residue of ``omega(z) dz`` at the point at infinity.
-
-    Equal to minus the residue sum of the finite poles; computed as
-    ``-(1 / 2 pi i)`` times the integral over the counterclockwise circle
-    |z| = radius, which must enclose every finite singularity.
-    """
-    ring = Contour(components=(circle(0.0, radius, counterclockwise=True),),
-                   nodes_per_component=nodes)
-    return -integrate(omega, ring) / (2j * np.pi)
-
-
-def normalize_orientation(contour: Contour, dp_n: DifferentialEvaluator) -> Contour:
-    """Fix the orientation so the quasimomentum integral is +2 pi.
-
-    The integral of ``dp_n`` over a valid C-contour is +-2 pi; anything
-    else means the curve has the wrong homology (both distinguished points
-    on one side, or extra windings) and raises :class:`NotACContourError`.
-    """
-    value = integrate(dp_n, contour)
-    if abs(abs(value) - TWO_PI) > 0.1 * TWO_PI:
-        raise NotACContourError(
-            f"integral of dp_n is {value:.6g}, not within 10% of 2 pi in "
-            "modulus; not a C-contour"
-        )
-    if value.real < 0:
-        return contour.with_orientation(-contour.orientation_sign)
-    return contour
 
 
 def _subarc(comp: CurveComponent, a, b) -> CurveComponent:

@@ -72,7 +72,6 @@ __all__ = [
     "kernel_K",
     "g0",
     "green",
-    "z_correction",
     "green_table",
     "verify_delta",
     "growth_check",
@@ -220,24 +219,6 @@ def green(
     return complex(values[0, 0, 0])
 
 
-def z_correction(
-    lam: SpherePoint,
-    mu: int,
-    nu: int,
-    mu_t: int,
-    nu_t: int,
-    nodes: int = DEFAULT_NODES,
-) -> complex:
-    """The correction term with weight sgn(im_p_m(lam) - im_p_m(z)) only.
-
-    Its integration path does not depend on the lattice indices, so L
-    annihilates it; green = g0 + z_correction on the same contour.
-    """
-    split, signs = _level_arcs(lam, c_contour(lam, nodes))
-    products = _arc_products(split, _point(mu - mu_t, nu - nu_t))
-    return complex(sum(s * p for s, p in zip(signs, products))[0, 0, 0] / FOUR_PI)
-
-
 @dataclass(eq=False, kw_only=True)
 class GreenTable(LatticeField):
     """Computed Green's-function values over a lattice window.
@@ -353,24 +334,20 @@ def verify_delta(
     window: Window,
     nodes: int = DEFAULT_NODES,
     kind: str = "green",
-    target: Tuple[int, int] = (0, 0),
 ) -> float:
-    """Max over the window of |L G - delta| for G at lambda.
+    """Max over the window of |L G - delta| for G at lambda, target (0, 0).
 
     The table is computed on a window enlarged by one so the stencil stays
-    inside; L is applied at every point of the requested window.
+    inside; L is applied at every point of the requested window.  Tables
+    are translation-invariant, so the target is fixed at the origin.
     """
-    (mu_lo, mu_hi), (nu_lo, nu_hi) = _window_bounds(window, target)
+    (mu_lo, mu_hi), (nu_lo, nu_hi) = _window_bounds(window, (0, 0))
     table = green_table(
-        ((mu_lo - 1, mu_hi + 1), (nu_lo - 1, nu_hi + 1)),
-        target=target,
-        lam=lam,
-        kind=kind,
-        nodes=nodes,
+        ((mu_lo - 1, mu_hi + 1), (nu_lo - 1, nu_hi + 1)), lam=lam, kind=kind, nodes=nodes
     )
     lg = apply_L(table, f)
-    if lg.contains(*target):
-        lg[target] -= 1
+    if lg.contains(0, 0):
+        lg[(0, 0)] -= 1
     return float(np.max(np.abs(lg.values)))
 
 
@@ -378,27 +355,24 @@ def growth_check(
     lam: SpherePoint,
     window: Window,
     nodes: int = DEFAULT_NODES,
-    cap: float = math.inf,
     kind: str = "green",
-    target: Tuple[int, int] = (0, 0),
-) -> Tuple[float, int]:
-    """Fit the growth-bound constant over a window.
+) -> float:
+    """Fit the growth-bound constant over a window, target (0, 0).
 
-    Returns ``(fitted_r1, violations)``: the max over the window of
-    |G| / exp((mu - mu_t) rate_mu + (nu - nu_t) rate_nu) with
-    rate_mu = im_p_n(lam) + im_p_m(lam) and rate_nu = im_p_n(lam) -
-    im_p_m(lam), plus the count of ratios exceeding ``cap``.  For the
-    normalized green the fit stabilizes as the window grows; the bare g0
-    has no such bound and the fit diverges with the window size.
+    Returns the max over the window of |G| / exp(mu rate_mu + nu rate_nu)
+    with rate_mu = im_p_n(lam) + im_p_m(lam) and rate_nu = im_p_n(lam) -
+    im_p_m(lam).  For the normalized green the fit stabilizes as the
+    window grows; the bare g0 has no such bound and the fit diverges with
+    the window size.
     """
     rate_mu = im_p_n(lam) + im_p_m(lam)
     rate_nu = im_p_n(lam) - im_p_m(lam)
-    table = green_table(window, target=target, lam=lam, kind=kind, nodes=nodes)
+    table = green_table(window, lam=lam, kind=kind, nodes=nodes)
     (mu_lo, mu_hi), (nu_lo, nu_hi) = table.mu_range, table.nu_range
-    d_mu = np.arange(mu_lo, mu_hi + 1)[:, None] - target[0]
-    d_nu = np.arange(nu_lo, nu_hi + 1)[None, :] - target[1]
+    d_mu = np.arange(mu_lo, mu_hi + 1)[:, None]
+    d_nu = np.arange(nu_lo, nu_hi + 1)[None, :]
     ratio = np.abs(table.values) / np.exp(d_mu * rate_mu + d_nu * rate_nu)
-    return float(ratio.max()), int(np.count_nonzero(ratio > cap))
+    return float(ratio.max())
 
 
 def residue_lemma_Q(

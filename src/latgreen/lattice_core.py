@@ -34,14 +34,12 @@ __all__ = [
     "ParityError",
     "SingularCoefficientError",
     "WindowError",
-    "LatticeIndex",
     "FiveptCoefficients",
     "LatticeField",
     "to_sublattice",
     "from_sublattice",
     "coefficients_from_f",
     "apply_L",
-    "apply_five_point",
     "check_four_point",
 ]
 
@@ -73,31 +71,6 @@ def to_sublattice(m: int, n: int) -> Tuple[int, int]:
 def from_sublattice(mu: int, nu: int) -> Tuple[int, int]:
     """Map sublattice coordinates (mu, nu) to diagonal coordinates (m, n)."""
     return mu - nu, mu + nu
-
-
-@dataclass(frozen=True)
-class LatticeIndex:
-    """A point of the even sublattice in both coordinate systems."""
-
-    mu: int
-    nu: int
-
-    @classmethod
-    def from_mn(cls, m: int, n: int) -> "LatticeIndex":
-        mu, nu = to_sublattice(m, n)
-        return cls(mu, nu)
-
-    @property
-    def m(self) -> int:
-        return self.mu - self.nu
-
-    @property
-    def n(self) -> int:
-        return self.mu + self.nu
-
-    @property
-    def mn(self) -> Tuple[int, int]:
-        return self.m, self.n
 
 
 def _lookup(f: FValues, m: int, n: int) -> float:
@@ -229,14 +202,6 @@ def apply_L(phi: LatticeField, f: FValues) -> LatticeField:
         - coeff_array("c") * v[1:-1, 1:-1]
     )
     return LatticeField((i_lo + 1, i_hi - 1), (j_lo + 1, j_hi - 1), lv)
-
-
-def apply_five_point(phi: LatticeField, f: FValues, mu: int, nu: int) -> complex:
-    """Evaluate (L phi) at (mu, nu); the full stencil must be in the window."""
-    i, j = phi._offset((mu - 1, nu - 1))
-    phi._offset((mu + 1, nu + 1))  # raises unless the whole stencil is inside
-    stencil = LatticeField((mu - 1, mu + 1), (nu - 1, nu + 1), phi.values[i : i + 3, j : j + 3])
-    return apply_L(stencil, f)[(mu, nu)]
 
 
 def check_four_point(psi: LatticeField, f: FValues) -> float:

@@ -83,7 +83,7 @@ def test_green_table_rejects_theta_backend(tmp_path, rng):
 def test_green_table_json_format(tmp_path):
     out = tmp_path / "table.json"
     code = run(["green-table", "--lambda", "1+0.5i", "--window", "2",
-                "--nodes", "128", "--format", "json", "--out", str(out)])
+                "--format", "json", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["metadata"]["kind"] == "green"
@@ -137,6 +137,18 @@ def test_tol_gate_never_compares_a_table_with_itself(tmp_path, capsys):
     assert "exceeds --tol" in capsys.readouterr().err
 
 
+def test_unresolved_table_fails_by_default(tmp_path, capsys):
+    # without --tol the gate is 1e-10; 16 nodes cannot resolve this window
+    # (estimate 1.27), so the run exits 1, writes the table and names the
+    # estimate
+    out = tmp_path / "t.csv"
+    assert run(["green-table", "--lambda", "2+2i", "--window", "4", "--nodes", "16",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"estimate 1\.2\d\de\+00 exceeds --tol 1\.0e-10", err)
+    assert len(out.read_text().splitlines()) == 82
+
+
 def test_tol_gate_is_relative_to_the_table(tmp_path, capsys):
     # |G| reaches 1.9e14 here, so an absolute node-halving difference of
     # 3e-2 is rounding level
@@ -149,7 +161,7 @@ def test_tol_gate_is_relative_to_the_table(tmp_path, capsys):
 
 def test_negative_values_as_separate_arguments(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["green-table", "--window", "1", "--nodes", "64"]
+    args = ["green-table", "--window", "1"]
     assert run(args + ["--target", "-2,-2", "--lambda", "-1+2i", "--out", str(a)]) == 0
     assert run(args + ["--target=-2,-2", "--lambda=-1+2i", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -197,27 +209,12 @@ def test_nodes_upper_bound_rejected(tmp_path, capsys, nodes, kind):
     assert not out.exists()
 
 
-def test_odd_nodes_rejected(tmp_path, capsys, monkeypatch):
+def test_odd_nodes_rejected(tmp_path, capsys):
     # the nested half rules use every other node
     out = tmp_path / "x.csv"
     assert run(["green-table", "--g0", "--window", "1", "--nodes", "17", "--out", str(out)]) == 2
     assert "--nodes must be even" in capsys.readouterr().err
-    monkeypatch.setenv("GREEN_NODES", "33")
-    assert run(["green-table", "--g0", "--window", "1", "--out", str(out)]) == 2
-    assert "got 33" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_green_nodes_above_cap_rejected(monkeypatch, capsys):
-    monkeypatch.setenv("GREEN_NODES", "100000000000000000000")
-    assert run(["verify"]) == 2
-    assert "--nodes must be in [16, 4096]" in capsys.readouterr().err
-
-
-def test_malformed_green_nodes_rejected(monkeypatch, capsys):
-    monkeypatch.setenv("GREEN_NODES", "abc")
-    assert run(["verify"]) == 2
-    assert "GREEN_NODES='abc'" in capsys.readouterr().err
 
 
 def test_map_grid_lower_bound(tmp_path):
@@ -241,15 +238,6 @@ def test_window_and_grid_upper_bounds_rejected(tmp_path, capsys, argv, message):
     assert run(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_green_nodes_env_override(monkeypatch):
-    monkeypatch.setenv("GREEN_NODES", "777")
-    parser = build_parser()
-    args = parser.parse_args(["green-table", "--g0"])
-    assert args.nodes == 777
-    args = parser.parse_args(["green-table", "--g0", "--nodes", "128"])
-    assert args.nodes == 128
 
 
 # --- verify -----------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 
 from latgreen import (
     Contour,
-    NotACContourError,
     PoleOnContourError,
     WaveDifferential,
     c_contour,
@@ -15,7 +14,6 @@ from latgreen import (
     dp_n_coeff,
     green_table,
     integrate,
-    normalize_orientation,
     omega_coeff,
     residue,
     split_at_sign_changes,
@@ -36,13 +34,17 @@ def test_cauchy_integral():
 
 
 def test_dp_n_over_normalized_c_contour():
-    assert integrate(dp_n_coeff, c_contour(2 + 2j)) == pytest.approx(TWO_PI, abs=1e-10)
+    contour = c_contour(2 + 2j)
+    assert integrate(dp_n_coeff, contour) == pytest.approx(TWO_PI, abs=1e-10)
+    assert integrate(dp_n_coeff, contour.with_orientation(-1)) == pytest.approx(-TWO_PI, abs=1e-10)
 
 
 def test_components_close_up():
+    ends = np.array([0.0, 1.0], dtype=QUAD_REAL)
     for contour in (c_contour(2 + 2j), c_contour(0.4 - 1.1j), unit_circle_contour()):
         for comp in contour.components:
-            assert comp.close_up_gap() < 1e-12
+            z0, z1 = comp.point(ends)
+            assert abs(z1 - z0) < 1e-12
 
 
 def test_omega_residue_at_origin_by_loop():
@@ -53,9 +55,8 @@ def test_omega_residue_at_origin_by_loop():
 
 def test_node_doubling_stability():
     omega_tilde = WaveDifferential.from_sublattice(2, -1, 0, 0)
-    contour = c_contour(2 + 2j)
-    a = integrate(omega_tilde, contour, nodes=256)
-    b = integrate(omega_tilde, contour, nodes=512)
+    a = integrate(omega_tilde, c_contour(2 + 2j, 256))
+    b = integrate(omega_tilde, c_contour(2 + 2j, 512))
     assert abs(a - b) < 1e-10
 
 
@@ -84,7 +85,7 @@ def test_sample_derivative_matches_points(make):
 
 def test_rules_need_at_least_one_node():
     with pytest.raises(ValueError, match="at least 1 node"):
-        integrate(lambda z: 1.0 / z, unit_circle_contour(), nodes=0)
+        integrate(lambda z: 1.0 / z, unit_circle_contour(0))
     with pytest.raises(ValueError, match="at least 1 node"):
         green_table(2, kind="g0", nodes=0)
 
@@ -94,7 +95,7 @@ def test_rules_need_an_even_node_count(nodes):
     # the nested half rule uses every other node; the message names the
     # caller's count, not the half rule's
     with pytest.raises(ValueError, match=f"got {nodes}$"):
-        integrate(lambda z: 1.0 / z, unit_circle_contour(), nodes=nodes)
+        integrate(lambda z: 1.0 / z, unit_circle_contour(nodes))
     with pytest.raises(ValueError, match=f"got {nodes}$"):
         green_table(1, kind="g0", nodes=nodes, error_estimate=True)
 
@@ -115,13 +116,14 @@ def test_residue_reference_values():
     assert residue(lambda z: 1.0 / z**2, 0.0, radius=0.3) == pytest.approx(0.0, abs=1e-13)
 
 
-def test_residue_at_infinity_normalization():
-    from latgreen import residue_at_infinity
-
-    # Omega has residues -1/2 at the origin and +1/2 at infinity
-    assert residue_at_infinity(omega_coeff) == pytest.approx(0.5, abs=1e-12)
+def test_infinity_residue_by_large_circle():
+    # Omega has residues -1/2 at the origin and +1/2 at infinity; the
+    # residue at infinity is minus the integral over a circle enclosing
+    # every finite pole, divided by 2 pi i
+    ring = Contour(components=(circle(0.0, 50.0),), nodes_per_component=512)
+    assert -integrate(omega_coeff, ring) / (2j * np.pi) == pytest.approx(0.5, abs=1e-12)
     omega_tilde = WaveDifferential.from_sublattice(2, -1, 0, 0)
-    assert residue_at_infinity(omega_tilde) == pytest.approx(0.5, abs=1e-10)
+    assert -integrate(omega_tilde, ring) / (2j * np.pi) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_residue_default_radius_from_isolation_points():
@@ -141,29 +143,6 @@ def test_residue_warns_on_misplaced_center():
         residue(lambda z: 1.0 / (z - 0.3), 0.0, radius=0.5)
 
 
-# --- orientation -------------------------------------------------------------
-
-def test_normalize_orientation_flips_and_is_projection():
-    raw = c_contour(2j).with_orientation(-1)
-    fixed = normalize_orientation(raw, dp_n_coeff)
-    assert integrate(dp_n_coeff, fixed) == pytest.approx(TWO_PI, abs=1e-10)
-    again = normalize_orientation(fixed, dp_n_coeff)
-    assert again.orientation_sign == fixed.orientation_sign
-
-
-def test_normalize_orientation_keeps_correct_contour():
-    contour = c_contour(2j)
-    fixed = normalize_orientation(contour, dp_n_coeff)
-    assert fixed.orientation_sign == contour.orientation_sign
-
-
-def test_normalize_orientation_rejects_wrong_homology():
-    # a loop around both distinguished points: the residues cancel
-    both = Contour(components=(circle(0.0, 3.0),))
-    with pytest.raises(NotACContourError):
-        normalize_orientation(both, dp_n_coeff)
-
-
 # --- splitting ---------------------------------------------------------------
 
 # circle(0, 1) is z = exp(2 pi i t), so Re z - 0.2 changes sign at these t
@@ -172,10 +151,10 @@ RE_Z_CROSSINGS = (math.acos(0.2) / TWO_PI, 1.0 - math.acos(0.2) / TWO_PI)
 
 def test_split_preserves_analytic_integrals():
     contour = unit_circle_contour()
-    split = split_at_sign_changes(contour, RE_Z_CROSSINGS)
+    split = split_at_sign_changes(unit_circle_contour(160), RE_Z_CROSSINGS)
     assert len(split.components) == 2
     for fn in (lambda z: 1.0 / z, lambda z: np.exp(z) / z**2):
-        assert integrate(fn, split, nodes=160) == pytest.approx(
+        assert integrate(fn, split) == pytest.approx(
             integrate(fn, contour), abs=1e-12
         )
 
@@ -190,15 +169,14 @@ def test_split_no_crossing_keeps_component_closed():
 def test_split_weighted_integral_spectral_accuracy():
     # integrate sign(Re z - 0.2) / z over the unit circle: exact value from
     # the two arc primitives of 1/z
-    contour = unit_circle_contour()
     crossing = math.acos(0.2)
     exact = complex(0.0, 2.0 * (2.0 * crossing - math.pi))
 
     def weighted(z):
         return np.sign(np.real(z) - 0.2) / z
 
-    split = split_at_sign_changes(contour, RE_Z_CROSSINGS)
-    assert integrate(weighted, split, nodes=200) == pytest.approx(exact, abs=1e-12)
+    split = split_at_sign_changes(unit_circle_contour(200), RE_Z_CROSSINGS)
+    assert integrate(weighted, split) == pytest.approx(exact, abs=1e-12)
 
 
 # --- nested rules ------------------------------------------------------------

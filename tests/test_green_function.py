@@ -8,7 +8,9 @@ import pytest
 
 from latgreen import (
     DegenerateContourError,
+    LatticeField,
     WaveDifferential,
+    apply_L,
     c_contour,
     default_kernel_contour,
     g0,
@@ -23,11 +25,10 @@ from latgreen import (
     split_at_sign_changes,
     to_sublattice,
     verify_delta,
-    z_correction,
 )
 from latgreen import green_function
 from latgreen.green_function import _level_arcs
-from latgreen.sphere_backend import Q_PLUS, im_p_m_crossings, level_circle_contour
+from latgreen.sphere_backend import Q_PLUS, f, im_p_m_crossings, level_circle_contour
 
 FOUR_PI = 4.0 * math.pi
 
@@ -129,15 +130,6 @@ def test_green_degenerate_lambda():
         green(Q_PLUS, 1, 0, 0, 0)
 
 
-def test_green_decomposes_into_g0_plus_correction():
-    lam = 2 + 2j
-    contour = c_contour(lam)
-    for (mu, nu) in [(0, 0), (2, -1), (-1, 3), (4, 4)]:
-        direct = green(lam, mu, nu, 0, 0)
-        parts = g0(contour, mu, nu, 0, 0) + z_correction(lam, mu, nu, 0, 0)
-        assert direct == pytest.approx(parts, abs=1e-9)
-
-
 def test_green_close_weight_flips_against_mpmath():
     # the two sign flips of the weight lie 0.0013 of the circle apart; the
     # reference finds them with mpmath from brackets of a fine float scan,
@@ -187,27 +179,21 @@ def test_green_close_weight_flips_against_mpmath():
 
 def test_green_offset_target():
     # delta lands on a shifted target
-    assert verify_delta(1 + 0.5j, 2, kind="green", target=(2, -1)) < 1e-8
+    table = green_table(3, target=(2, -1), lam=1 + 0.5j)
+    lg = apply_L(table, f)
+    assert (lg.i_range, lg.j_range) == ((0, 4), (-3, 1))
+    lg[(2, -1)] -= 1
+    assert np.max(np.abs(lg.values)) < 1e-8
 
 
 def test_correction_annihilated_by_five_point():
-    # the correction weight does not depend on the lattice indices, so L
+    # green - g0 on the same contour carries the weight sgn(im_p_m(lam) -
+    # im_p_m(z)) only, which does not depend on the lattice indices, so L
     # kills it everywhere, including at the target
     lam = 2 + 2j
-    vals = {}
-    for mu in range(-2, 3):
-        for nu in range(-2, 3):
-            vals[(mu, nu)] = z_correction(lam, mu, nu, 0, 0)
-    for mu in range(-1, 2):
-        for nu in range(-1, 2):
-            lz = (
-                vals[(mu + 1, nu)]
-                + vals[(mu - 1, nu)]
-                + vals[(mu, nu + 1)]
-                + vals[(mu, nu - 1)]
-                - 4 * vals[(mu, nu)]
-            )
-            assert abs(lz) < 1e-10
+    diff = green_table(3, lam=lam).values - green_table(3, lam=lam, kind="g0").values
+    lz = apply_L(LatticeField((-3, 3), (-3, 3), diff), f)
+    assert np.max(np.abs(lz.values)) < 1e-10
 
 
 def test_wave_differential_evaluates_pointwise():
@@ -236,17 +222,8 @@ def test_green_sigma_lambda_only_flips_weight_level():
 
 def test_growth_ratio_trivial_at_target():
     lam = 2 + 2j
-    fitted, violations = growth_check(lam, 0)
-    assert violations == 0
+    fitted = growth_check(lam, 0)
     assert fitted == pytest.approx(abs(green(lam, 0, 0, 0, 0)), rel=1e-12)
-
-
-def test_growth_violations_counted():
-    lam = 2 + 2j
-    fitted, violations = growth_check(lam, 2, cap=0.0)
-    assert violations == 25
-    _, none = growth_check(lam, 2, cap=fitted + 1.0)
-    assert none == 0
 
 
 # --- residue lemmas --------------------------------------------------------------

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from latgreen import (
     GreenTable,
     LatticeField,
-    LatticeIndex,
     ParityError,
     SingularCoefficientError,
     WindowError,
     apply_L,
-    apply_five_point,
     check_four_point,
     coefficients_from_f,
     from_sublattice,
@@ -34,7 +32,7 @@ def test_parity_violation_rejected():
     with pytest.raises(ParityError):
         to_sublattice(1, 0)
     with pytest.raises(ParityError):
-        LatticeIndex.from_mn(2, 3)
+        to_sublattice(2, 3)
 
 
 @given(mu=ints, nu=ints)
@@ -42,9 +40,7 @@ def test_sublattice_round_trip(mu, nu):
     m, n = from_sublattice(mu, nu)
     assert (m + n) % 2 == 0
     assert to_sublattice(m, n) == (mu, nu)
-    idx = LatticeIndex(mu, nu)
-    assert idx.mn == (m, n)
-    assert LatticeIndex.from_mn(m, n) == idx
+    assert from_sublattice(*to_sublattice(m, n)) == (m, n)
 
 
 def test_coefficients_constant_f():
@@ -86,20 +82,23 @@ def _unit_f(m, n):
 
 def test_five_point_constant_field_annihilated():
     phi = LatticeField.from_function((-3, 3), (-3, 3), lambda i, j: 1.0)
-    for mu in range(-2, 3):
-        for nu in range(-2, 3):
-            assert apply_five_point(phi, _unit_f, mu, nu) == 0
+    lphi = apply_L(phi, _unit_f)
+    assert (lphi.i_range, lphi.j_range) == ((-2, 2), (-2, 2))
+    assert np.all(lphi.values == 0)
 
 
 def test_five_point_kronecker_delta():
     phi = LatticeField.from_function((-2, 2), (-2, 2), lambda i, j: 1.0 if (i, j) == (0, 0) else 0.0)
-    assert apply_five_point(phi, _unit_f, 0, 0) == -4
+    assert apply_L(phi, _unit_f)[(0, 0)] == -4
 
 
 def test_five_point_out_of_window():
+    # the stencil at (1, 0) needs (2, 0); only (0, 0) is interior
     phi = LatticeField.from_function((-1, 1), (-1, 1), lambda i, j: 1.0)
     with pytest.raises(WindowError):
-        apply_five_point(phi, _unit_f, 1, 0)
+        apply_L(phi, _unit_f)[(1, 0)]
+    with pytest.raises(WindowError):
+        apply_L(LatticeField((-1, 1), (0, 1)), _unit_f)
 
 
 @given(
@@ -118,10 +117,8 @@ def test_five_point_linearity(alpha_re, alpha_im, beta_re, beta_im, seed):
     phi1 = LatticeField.from_function(*w, lambda i, j: complex(*rng.normal(size=2)))
     phi2 = LatticeField.from_function(*w, lambda i, j: complex(*rng.normal(size=2)))
     combo = LatticeField.from_function(*w, lambda i, j: alpha * phi1[(i, j)] + beta * phi2[(i, j)])
-    got = apply_five_point(combo, _unit_f, 0, 0)
-    want = alpha * apply_five_point(phi1, _unit_f, 0, 0) + beta * apply_five_point(
-        phi2, _unit_f, 0, 0
-    )
+    got = apply_L(combo, _unit_f)[(0, 0)]
+    want = alpha * apply_L(phi1, _unit_f)[(0, 0)] + beta * apply_L(phi2, _unit_f)[(0, 0)]
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -141,12 +138,7 @@ def test_four_point_sphere_wave_function():
 def test_five_point_annihilates_sphere_wave_function():
     z0 = 2.0 + 0.0j
     phi = LatticeField.from_function((-4, 4), (-4, 4), lambda mu, nu: psi(z0, mu - nu, mu + nu))
-    worst = max(
-        abs(apply_five_point(phi, _unit_f, mu, nu))
-        for mu in range(-3, 4)
-        for nu in range(-3, 4)
-    )
-    assert worst < 1e-10
+    assert np.max(np.abs(apply_L(phi, _unit_f).values)) < 1e-10
 
 
 # --- window-wide stencil against explicit loops ------------------------------------
@@ -196,7 +188,6 @@ def test_apply_L_matches_docstring_loop():
             ]
             scale = sum(abs(t) for t in terms)
             assert abs(got[(mu, nu)] - sum(terms)) <= 1e-15 * scale
-            assert apply_five_point(phi, f, mu, nu) == got[(mu, nu)]
     # a mapping f gives the same field as the callable f
     table = {(m, n): f(m, n) for m in range(-14, 3) for n in range(-2, 14)}
     assert np.array_equal(apply_L(phi, table).values, got.values)
