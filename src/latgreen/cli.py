@@ -39,6 +39,8 @@ from .sphere_backend import (
     f,
     im_p_m,
     im_p_n,
+    level,
+    level_circle_contour,
     psi,
 )
 from .theta_engine import (
@@ -281,6 +283,8 @@ def cmd_quasimomentum_map(args) -> int:
     for name in ("xmin", "xmax", "ymin", "ymax"):
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"--{name} must be finite, got {getattr(args, name)}")
+    # every level is checked before any output is opened
+    levels = [(lam, level(lam, deform_critical=False)) for lam in map(parse_point, args.lam)]
     xs = [args.xmin + k * (args.xmax - args.xmin) / (args.grid - 1) for k in range(args.grid)]
     ys = [args.ymin + k * (args.ymax - args.ymin) / (args.grid - 1) for k in range(args.grid)]
     with open(args.out, "w", newline="") as fh:
@@ -294,17 +298,14 @@ def cmd_quasimomentum_map(args) -> int:
                 singular = 0 if (math.isfinite(pm) and math.isfinite(pn)) else 1
                 writer.writerow([repr(x), repr(y), repr(pm), repr(pn), singular])
     written = [args.out]
-    if args.lam:
+    if levels:
         contours_out = args.contours_out or "contours.csv"
         with open(contours_out, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["lambda_re", "lambda_im", "t", "z_re", "z_im"])
-            for lam_text in args.lam:
-                lam = parse_point(lam_text)
-                contour = c_contour(lam, args.nodes, deform_critical=False)
-                comp = contour.components[0]
-                ts = (np.arange(args.nodes) + 0.5) / args.nodes
-                zs = comp.point(ts)
+            ts = (np.arange(args.nodes) + 0.5) / args.nodes
+            for lam, lv in levels:
+                zs = level_circle_contour(lv.r, args.nodes).components[0].point(ts)
                 if lam is INFINITY:
                     lam_re, lam_im = math.inf, 0.0
                 else:

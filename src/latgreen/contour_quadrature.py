@@ -17,9 +17,9 @@ absolute accuracy far below the verification tolerances.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class Contour:
     components: Tuple[CurveComponent, ...]
     nodes_per_component: int = DEFAULT_NODES
     orientation_sign: int = 1
-    metadata: Dict = field(default_factory=dict)
 
     def with_orientation(self, sign: int) -> "Contour":
         return replace(self, orientation_sign=sign)

@@ -50,17 +50,20 @@ from .contour_quadrature import (
 )
 from .lattice_core import LatticeField, apply_L, coefficients_from_f, from_sublattice
 from .sphere_backend import (
+    DEFAULT_KERNEL_RADIUS,
     INFINITY,
     MARKED_POINTS,
     P_PLUS,
     Q_PLUS,
+    Level,
     SpherePoint,
-    c_contour,
     default_kernel_contour,
     f,
     im_p_m,
     im_p_m_crossings,
     im_p_n,
+    level,
+    level_circle_contour,
     omega_coeff,
     psi,
     psi_power_tables,
@@ -155,22 +158,6 @@ def _arc_products(contour: Contour, offsets: Bounds, nested: bool = False) -> Li
     return products
 
 
-def _level_arcs(lam: SpherePoint, contour: Contour) -> Tuple[Contour, List[float]]:
-    """Split a level circle where sgn(im_p_m(lam) - im_p_m(z)) flips.
-
-    Returns the split contour and the constant sign of the weight on each
-    of its components.
-    """
-    radius = contour.metadata.get("chart_radius")
-    if radius is None:
-        raise ValueError("the normalized green needs a level circle |w| = r as its contour")
-    h = im_p_m(lam)
-    split = split_at_sign_changes(contour, im_p_m_crossings(radius, h))
-    mid = np.array([0.5], dtype=QUAD_REAL)
-    signs = [float(np.sign(h - im_p_m(comp.point(mid))[0])) for comp in split.components]
-    return split, signs
-
-
 def _sign_m(offsets: Bounds) -> np.ndarray:
     """sgn(m - m_t) over the offsets, m - m_t = (mu - mu_t) - (nu - nu_t)."""
     (dmu_lo, dmu_hi), (dnu_lo, dnu_hi) = offsets
@@ -179,8 +166,11 @@ def _sign_m(offsets: Bounds) -> np.ndarray:
     return np.sign(dmu - dnu)
 
 
-def _green_values(lam, contour: Contour, offsets: Bounds, nested: bool = False) -> np.ndarray:
-    split, signs = _level_arcs(lam, contour)
+def _green_values(lv: Level, offsets: Bounds, nodes: int, nested: bool = False) -> np.ndarray:
+    # the level circle cut where sgn(h - im_p_m(z)) flips, and that sign on each arc
+    split = split_at_sign_changes(level_circle_contour(lv.r, nodes), im_p_m_crossings(lv.r, lv.h))
+    mid = np.array([0.5], dtype=QUAD_REAL)
+    signs = [float(np.sign(lv.h - im_p_m(comp.point(mid))[0])) for comp in split.components]
     dm = _sign_m(offsets)
     products = _arc_products(split, offsets, nested)
     total = sum((dm + s) * p for s, p in zip(signs, products))
@@ -215,7 +205,7 @@ def green(
     nodes: int = DEFAULT_NODES,
 ) -> complex:
     """Normalized Green's function at lambda by direct weighted quadrature."""
-    values = _green_values(lam, c_contour(lam, nodes), _point(mu - mu_t, nu - nu_t))
+    values = _green_values(level(lam), _point(mu - mu_t, nu - nu_t), nodes)
     return complex(values[0, 0, 0])
 
 
@@ -311,16 +301,16 @@ def green_table(
         raise ValueError("normalized green needs lambda")
     bounds = _window_bounds(window, target)
     offsets = _offsets(bounds, target)
-    ctr = c_contour(lam, nodes) if lam is not None else default_kernel_contour(nodes)
-    if kind == "green":
-        values, *coarse = _green_values(lam, ctr, offsets, error_estimate)
+    if lam is None:
+        values, *coarse = _g0_values(default_kernel_contour(nodes), offsets, error_estimate)
+        contour_info = {"chart_radius": DEFAULT_KERNEL_RADIUS, "default_kernel": True}
     else:
-        values, *coarse = _g0_values(ctr, offsets, error_estimate)
-    contour_info = {
-        key: ctr.metadata[key]
-        for key in ("chart_radius", "deformed", "critical_level", "default_kernel")
-        if key in ctr.metadata
-    }
+        lv = level(lam)
+        if kind == "green":
+            values, *coarse = _green_values(lv, offsets, nodes, error_estimate)
+        else:
+            values, *coarse = _g0_values(level_circle_contour(lv.r, nodes), offsets, error_estimate)
+        contour_info = {"chart_radius": float(lv.r), "deformed": lv.deformed}
     meta: Dict = {"kind": kind, "nodes": nodes, "contour": contour_info}
     meta.update(_lambda_meta(lam))
     if error_estimate:

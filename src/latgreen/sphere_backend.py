@@ -33,7 +33,7 @@ exactly the orientation giving the quasimomentum integral +2 pi.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -69,6 +69,8 @@ __all__ = [
     "tau",
     "mobius_w",
     "mobius_z",
+    "Level",
+    "level",
     "c_contour",
     "level_circle_contour",
     "default_kernel_contour",
@@ -318,10 +320,10 @@ def mobius_w(z: SpherePoint):
     """Moebius chart w = (z - i)/(z + i): Q+ -> 0, Q- -> infinity, R+ -> 1."""
     if _is_inf(z):
         return 1.0 + 0.0j
-    zc = complex(z)
-    if zc == Q_MINUS:
+    z = _finite(z)
+    if not isinstance(z, np.ndarray) and z == Q_MINUS:
         return INFINITY
-    return (zc - 1j) / (zc + 1j)
+    return (z - 1j) / (z + 1j)
 
 
 def mobius_z(w):
@@ -346,38 +348,45 @@ def level_circle_contour(radius: float, nodes: int = DEFAULT_NODES) -> Contour:
         components=(CurveComponent(sample, closed=True),),
         nodes_per_component=nodes,
         orientation_sign=1,
-        metadata={"chart_radius": float(radius)},
     )
 
 
-def c_contour(lam: SpherePoint, nodes: int = DEFAULT_NODES, deform_critical: bool = True) -> Contour:
-    """C-contour through lambda: the level set of im_p_n in the w-chart.
+class Level(NamedTuple):
+    """Lambda's level: the radius ``r`` of its C-contour |w| = r, ``h =
+    im_p_m(lambda)``, which sets the sign weight of the normalized green,
+    and whether the circle was moved off the critical level."""
 
-    The level set is the circle |w| = |w(lambda)|, oriented clockwise in w.
-    At lambda = Q+- the level set degenerates to a point and
-    :class:`DegenerateContourError` is raised.  Radii within
-    ``CRITICAL_LEVEL_BAND`` of the critical level |w| = 1 put the curve on
-    (or numerically too close to) the marked points P+-, R+-; with
-    ``deform_critical`` the contour is replaced by the regular circle
-    |w| = ``FALLBACK_RADIUS``, recorded in the metadata.
+    r: QUAD_REAL
+    h: QUAD_REAL
+    deformed: bool
+
+
+def level(lam: SpherePoint, deform_critical: bool = True) -> Level:
+    """The level data of lambda, r = |w(lambda)| and h = im_p_m(lambda), in ``QUAD_REAL``.
+
+    A finite lambda is taken exactly, as a one-element ``QUAD_DTYPE``
+    array, through the array paths of :func:`mobius_w` and :func:`im_p_m`,
+    so the arc ends computed from r and h carry no float64 rounding;
+    lambda = infinity gives r = 1 and h = 0 exactly.  At lambda = Q+- the
+    level set degenerates to a point and :class:`DegenerateContourError`
+    is raised.  Radii within ``CRITICAL_LEVEL_BAND`` of the critical level
+    |w| = 1 put the circle on (or numerically too close to) the marked
+    points P+-, R+-; with ``deform_critical`` r is then replaced by exactly
+    ``FALLBACK_RADIUS``, while h stays lambda's.
     """
-    w = mobius_w(lam)
-    if _is_inf(w):
-        raise DegenerateContourError("lambda = Q-: the level set degenerates to a point")
-    r = abs(w)
-    if r == 0.0:
-        raise DegenerateContourError("lambda = Q+: the level set degenerates to a point")
-    deformed = False
-    if abs(math.log(r)) < CRITICAL_LEVEL_BAND:
-        if not deform_critical:
-            contour = level_circle_contour(r, nodes)
-            contour.metadata.update({"lambda": lam, "critical_level": True})
-            return contour
-        r = FALLBACK_RADIUS
-        deformed = True
-    contour = level_circle_contour(r, nodes)
-    contour.metadata.update({"lambda": lam, "deformed": deformed})
-    return contour
+    if not _is_inf(lam) and complex(lam) in (Q_PLUS, Q_MINUS):
+        raise DegenerateContourError(f"lambda = {lam} is Q+ or Q-: the level set degenerates to a point")
+    # infinity takes the point paths, which give w = 1 and h = 0 exactly
+    z = lam if _is_inf(lam) else np.array([lam], dtype=QUAD_DTYPE)
+    r = QUAD_REAL(np.abs(np.ravel(mobius_w(z))[0]))
+    h = QUAD_REAL(np.ravel(im_p_m(z))[0])
+    deformed = bool(deform_critical and abs(np.log(r)) < CRITICAL_LEVEL_BAND)
+    return Level(QUAD_REAL(FALLBACK_RADIUS) if deformed else r, h, deformed)
+
+
+def c_contour(lam: SpherePoint, nodes: int = DEFAULT_NODES) -> Contour:
+    """C-contour through lambda: the level circle |w| = r of :func:`level`, clockwise in w."""
+    return level_circle_contour(level(lam).r, nodes)
 
 
 def default_kernel_contour(nodes: int = DEFAULT_NODES) -> Contour:
@@ -388,6 +397,4 @@ def default_kernel_contour(nodes: int = DEFAULT_NODES) -> Contour:
     ``g0(m, -1, 0, 0) = -sgn(m) (-i)**(m+1) / 2`` and
     ``g0(m, -2, 0, 0) = -sgn(m) m (-i)**m``.
     """
-    contour = level_circle_contour(DEFAULT_KERNEL_RADIUS, nodes)
-    contour.metadata.update({"default_kernel": True})
-    return contour
+    return level_circle_contour(DEFAULT_KERNEL_RADIUS, nodes)

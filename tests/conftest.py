@@ -22,6 +22,25 @@ def pytest_configure(config):
     set_hypothesis_home_dir(home.name)
 
 
+# the two sign flips of green's weight at this level lie 0.0013 of the circle apart
+CLOSE_FLIPS = -0.7156347228670334 + 0.6943503066555872j
+
+
+def mp_level(lam):
+    """(r, h) of lambda in mpmath, with the backend's deformation of critical levels."""
+    import mpmath as mp
+
+    from latgreen import INFINITY
+
+    if lam is INFINITY:
+        r, h = mp.mpf(1), mp.mpf(0)
+    else:
+        z = mp.mpc(lam)
+        r = abs((z - 1j) / (z + 1j))
+        h = mp.log(abs(z + 1)) - mp.log(abs(z - 1))
+    return (mp.mpf(0.5) if abs(mp.log(r)) < 0.05 else r), h
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -373,3 +373,14 @@ def test_map_circle_lambda_polyline_level(tmp_path):
     for r in rows:
         z = complex(float(r["z_re"]), float(r["z_im"]))
         assert im_p_n(z) == pytest.approx(level, abs=1e-12)
+
+
+@pytest.mark.parametrize("lams", [["nan"], ["2+2i", "i"], ["-i"]])
+def test_map_bad_lambda_writes_nothing(tmp_path, lams):
+    # every --lambda is parsed and its level checked before any output opens
+    out, contours_out = tmp_path / "m.csv", tmp_path / "c.csv"
+    argv = ["quasimomentum-map", "--grid", "3", "--out", str(out), "--contours-out", str(contours_out)]
+    for lam in lams:
+        argv += ["--lambda", lam]
+    assert run(argv) == 2
+    assert not out.exists() and not contours_out.exists()

@@ -11,7 +11,6 @@ from latgreen import (
     LatticeField,
     WaveDifferential,
     apply_L,
-    c_contour,
     default_kernel_contour,
     g0,
     green,
@@ -26,9 +25,10 @@ from latgreen import (
     to_sublattice,
     verify_delta,
 )
-from latgreen import green_function
-from latgreen.green_function import _level_arcs
-from latgreen.sphere_backend import Q_PLUS, f, im_p_m_crossings, level_circle_contour
+from latgreen import INFINITY, green_function
+from latgreen.sphere_backend import Q_PLUS, f, im_p_m_crossings, level, level_circle_contour
+
+from conftest import CLOSE_FLIPS, mp_level
 
 FOUR_PI = 4.0 * math.pi
 
@@ -130,51 +130,80 @@ def test_green_degenerate_lambda():
         green(Q_PLUS, 1, 0, 0, 0)
 
 
-def test_green_close_weight_flips_against_mpmath():
-    # the two sign flips of the weight lie 0.0013 of the circle apart; the
-    # reference finds them with mpmath from brackets of a fine float scan,
-    # then integrates (sgn(m) + s_arc) psi Omega on each arc with mp.quad
+def mp_crossings(r, h):
+    """Where im_p_m = h on w = r exp(-2 pi i t): sin(arg w) = -(1 + r**2) tanh(h) / (2 r)."""
     import mpmath as mp
 
-    lam = -0.7156347228670334 + 0.6943503066555872j
-    contour = c_contour(lam)
-    r, h = contour.metadata["chart_radius"], im_p_m(lam)
-    ts = im_p_m_crossings(r, h)
-    assert len(split_at_sign_changes(contour, ts).components) == 2
+    s = -(1 + r**2) * mp.tanh(h) / (2 * r)
+    if abs(s) >= 1:
+        return []
+    phi = mp.asin(s)
+    return sorted(mp.frac(-x / (2 * mp.pi) + 1) for x in (phi, mp.pi - phi))
 
-    def z_of(t):
-        w = r * mp.exp(-2j * mp.pi * t)
-        return 1j * (1 + w) / (1 - w), w
 
-    def level(t):
-        z, _ = z_of(t)
-        return mp.log(abs(z + 1)) - mp.log(abs(z - 1)) - h
+def mp_green(lam, mu, nu):
+    """green(lam, mu, nu, 0, 0) from lambda alone, one mp.quad per weighted arc.
 
-    grid = np.arange(2**16) / 2**16
-    w = r * np.exp(-2j * np.pi * grid)
-    z = 1j * (1 + w) / (1 - w)
-    above = np.log(np.abs(z + 1)) - np.log(np.abs(z - 1)) > h
-    flips = np.nonzero(above != np.roll(above, -1))[0]
+    On w = r exp(-2 pi i t), z = i (1 + w)/(1 - w) gives (z+1)/(z-1) =
+    (1 + i w)/(w + i), (z+i)/(z-i) = 1/w and Omega = -dw / (1 - w**2), so
+    psi(z, m, n) Omega = 2 pi i ((1 + i w)/(w + i))**m w**(1 - n) / (1 - w**2) dt.
+    The working precision must cover the entry's cancellation: at 30 digits
+    an entry far below its terms (e.g. a W=24 corner) can be wrong here too.
+    """
+    import mpmath as mp
+
+    r, h = mp_level(lam)
+    m, n = mu - nu, mu + nu
+    i = mp.mpc(0, 1)
+
+    def integrand(t):
+        w = r * mp.expjpi(-2 * t)
+        return ((i * w + 1) / (w + i)) ** m * w ** (1 - n) / (1 - w * w)
+
+    ts = mp_crossings(r, h) or [mp.mpf(0)]
+    total = 0
+    for a, b in zip(ts, ts[1:] + [ts[0] + 1]):
+        w = r * mp.expjpi(-(a + b))
+        weight = mp.sign(m) + mp.sign(h - mp.log(abs(i * w + 1)) + mp.log(abs(w + i)))
+        if weight:
+            total += weight * mp.quad(integrand, [a, b])
+    return complex(total * i / 2)
+
+
+def test_green_close_weight_flips_against_mpmath():
+    # per entry against a reference that takes only lambda: r, h, the arc
+    # ends and the arc integrals in mpmath at 30 digits; levels include a
+    # deformed one (3), infinity and flips 0.0013 of the circle apart
+    import mpmath as mp
+
+    levels = [2 + 2j, -1 + 2j, 0.3 + 0.1j, -1.2337 - 0.4640j, 3, INFINITY, CLOSE_FLIPS]
     with mp.workdps(30):
-        roots = sorted(mp.findroot(level, (grid[k], grid[k] + 2.0**-16), solver="anderson")
+        for lam in levels:
+            for mu, nu in [(0, 0), (2, -1), (5, -8)]:
+                want = mp_green(lam, mu, nu)
+                got = green(lam, mu, nu, 0, 0)
+                assert abs(got - want) < 1e-14 * abs(want), (lam, mu, nu)
+
+        # the closed-form arc ends are the roots of im_p_m - h, found by
+        # findroot from brackets of a fine float scan
+        r, h = mp_level(CLOSE_FLIPS)
+
+        def level_gap(t):
+            w = r * mp.expjpi(-2 * t)
+            return mp.log(abs(1 + 1j * w)) - mp.log(abs(w + 1j)) - h
+
+        grid = np.arange(2**16) / 2**16
+        w = float(r) * np.exp(-2j * np.pi * grid)
+        z = 1j * (1 + w) / (1 - w)
+        above = np.log(np.abs(z + 1)) - np.log(np.abs(z - 1)) > float(h)
+        flips = np.nonzero(above != np.roll(above, -1))[0]
+        roots = sorted(mp.findroot(level_gap, (grid[k], grid[k] + 2.0**-16), solver="anderson")
                        for k in flips)
         assert len(roots) == 2
-        assert [float(x) for x in roots] == pytest.approx([float(t) for t in ts], abs=1e-15)
-        for mu, nu in [(0, 0), (2, -1)]:
-            m, n = mu - nu, mu + nu
-            want = 0
-            for a, b in [(roots[0], roots[1]), (roots[1], roots[0] + 1)]:
-                s = -mp.sign(level((a + b) / 2))
-
-                def integrand(t):
-                    z, w = z_of(t)
-                    dz = 2j / (1 - w) ** 2 * (-2j * mp.pi * w)
-                    psi_mn = ((z + 1) / (z - 1)) ** m * ((z + 1j) / (z - 1j)) ** n
-                    return (mp.sign(m) + s) * psi_mn * (-0.5 / z) * dz
-
-                want += mp.quad(integrand, [a, b]) / (4 * mp.pi)
-            got = green(lam, mu, nu, 0, 0)
-            assert abs(got - complex(want)) < 1e-10 * abs(complex(want)), (mu, nu)
+        assert max(abs(x - y) for x, y in zip(roots, mp_crossings(r, h))) < 1e-25
+        lv = level(CLOSE_FLIPS)
+        ts = im_p_m_crossings(lv.r, lv.h)
+        assert [float(x) for x in roots] == pytest.approx([float(t) for t in ts], abs=1e-17)
 
 
 def test_green_offset_target():
@@ -293,12 +322,26 @@ def test_table_shape_and_metadata(tmp_path):
     assert len(payload["values"]) == 25
 
 
+@pytest.mark.parametrize("kind, lam, contour", [
+    ("green", 2 + 2j, {"chart_radius": math.sqrt(5 / 13), "deformed": False}),
+    ("green", 3, {"chart_radius": 0.5, "deformed": True}),
+    ("green", INFINITY, {"chart_radius": 0.5, "deformed": True}),
+    ("g0", 2 + 2j, {"chart_radius": math.sqrt(5 / 13), "deformed": False}),
+    ("g0", None, {"chart_radius": 2.0, "default_kernel": True}),
+])
+def test_table_metadata_is_plain_json(kind, lam, contour):
+    # the level data are QUAD_REAL; the metadata holds them as plain floats
+    meta = green_table(1, lam=lam, kind=kind, nodes=32).metadata
+    assert json.loads(json.dumps(meta))["contour"] == pytest.approx(contour, rel=1e-15)
+    assert meta["contour"].keys() == contour.keys()
+
+
 def test_est_error_from_nested_rules(monkeypatch):
     # at 2 + 2i the contour splits into two arcs, so both rules are Fejer's
     # and the half rule is the 16-node rule on the same nodes; at 32 nodes
     # the difference is far above rounding
     lam = 2 + 2j
-    assert len(_level_arcs(lam, c_contour(lam, 32))[0].components) == 2
+    assert im_p_m_crossings(*level(lam)[:2]).size == 2
     fine = green_table(4, lam=lam, nodes=32).values
     coarse = green_table(4, lam=lam, nodes=16).values
     expected = np.max(np.abs(fine - coarse)) / np.max(np.abs(fine))

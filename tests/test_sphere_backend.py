@@ -25,15 +25,20 @@ from latgreen import (
     tau,
 )
 from latgreen.sphere_backend import (
+    CRITICAL_LEVEL_BAND,
+    FALLBACK_RADIUS,
     P_MINUS,
     P_PLUS,
     Q_MINUS,
     Q_PLUS,
     R_MINUS,
     im_p_m_crossings,
+    level,
     level_circle_contour,
     mobius_w,
 )
+
+from conftest import CLOSE_FLIPS, mp_level
 
 TWO_PI = 2.0 * math.pi
 
@@ -244,10 +249,17 @@ def test_im_p_sigma_antisymmetry():
 
 # --- contours -------------------------------------------------------------
 
+def on_chart_circle(contour, radius):
+    """The contour's points have |w| = radius in the chart w = (z - i)/(z + i)."""
+    z = contour.components[0].point(np.arange(16) / 16.0)
+    return np.allclose(np.abs((z - 1j) / (z + 1j)).astype(float), radius, rtol=1e-15)
+
+
 def test_c_contour_radius_from_level():
-    contour = c_contour(2j)
-    assert contour.metadata["chart_radius"] == pytest.approx(1.0 / 3.0)
-    assert contour.metadata["deformed"] is False
+    lv = level(2j)
+    assert lv.r == pytest.approx(1.0 / 3.0)
+    assert lv.deformed is False
+    assert on_chart_circle(c_contour(2j), 1.0 / 3.0)
 
 
 def test_c_contour_orientation_normalized():
@@ -262,19 +274,24 @@ def test_c_contour_degenerate_at_q():
         c_contour(Q_PLUS)
     with pytest.raises(DegenerateContourError):
         c_contour(Q_MINUS)
+    for lam in (Q_PLUS, Q_MINUS):
+        with pytest.raises(DegenerateContourError):
+            level(lam, deform_critical=False)
 
 
 def test_c_contour_critical_level_deforms():
+    assert level(3.0 + 0j).deformed is True
     contour = c_contour(3.0 + 0j)
-    assert contour.metadata["deformed"] is True
+    assert on_chart_circle(contour, FALLBACK_RADIUS)
     assert integrate(dp_n_coeff, contour) == pytest.approx(TWO_PI, abs=1e-10)
 
 
 def test_c_contour_raw_critical_level_is_real_axis():
-    contour = c_contour(3.0 + 0j, deform_critical=False)
-    assert contour.metadata["critical_level"] is True
+    lv = level(3.0 + 0j, deform_critical=False)
+    assert lv.deformed is False
+    assert abs(np.log(lv.r)) < CRITICAL_LEVEL_BAND
     t = (np.arange(64) + 0.5) / 64
-    z = contour.components[0].point(t)
+    z = level_circle_contour(lv.r).components[0].point(t)
     assert float(np.max(np.abs(np.imag(z.astype(complex))))) < 1e-12
 
 
@@ -294,9 +311,34 @@ def test_im_p_m_crossings_are_level_points():
 
 def test_c_contour_level_matches_lambda():
     lam = 1.7 - 0.6j
+    assert level(lam).r == pytest.approx(abs(mobius_w(lam)))
     contour = c_contour(lam)
-    assert contour.metadata["chart_radius"] == pytest.approx(abs(mobius_w(lam)))
     t = np.linspace(0.05, 0.95, 7)
     z = contour.components[0].point(t)
     levels = [im_p_n(complex(v)) for v in z]
     assert levels == pytest.approx([im_p_n(lam)] * len(levels), abs=1e-12)
+
+
+# --- level ----------------------------------------------------------------
+
+@pytest.mark.parametrize("lam", [2 + 2j, -1 + 2j, 0.3 + 0.1j, 1.7 - 0.6j, CLOSE_FLIPS])
+def test_level_matches_mpmath(lam):
+    # r and h from the exact lambda, to the extended precision's rounding;
+    # float64 is off by 1e-17 to 3e-16 here
+    import mpmath as mp
+
+    lv = level(lam)
+    assert lv.deformed is False
+    with mp.workdps(40):
+        for got, want in zip(lv[:2], mp_level(lam)):
+            num, den = got.as_integer_ratio()
+            assert abs(mp.mpf(num) / den - want) <= 1e-18
+
+
+def test_level_exact_values():
+    assert level(INFINITY).h == 0
+    for lam in (3, 0, 1, -1, INFINITY):
+        lv = level(lam)
+        assert lv.deformed is True and lv.r == FALLBACK_RADIUS, lam
+    assert level(1).h == math.inf and level(-1).h == -math.inf
+    assert level(INFINITY, deform_critical=False) == (1, 0, False)
