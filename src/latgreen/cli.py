@@ -198,15 +198,10 @@ def _sphere_checks(nodes: int, flip_orientation: bool) -> List[_Check]:
     # orientation normalization of constructed contours
     lam_grid = [2 + 2j, 1 + 0.5j, 0.3 + 0.1j, 3.0 + 0j, -1 + 2j, 0.2 - 1.4j]
     worst_o = 0.0
-    for lam in lam_grid:
-        ctr = c_contour(lam, nodes)
+    for ctr in [c_contour(lam, nodes) for lam in lam_grid] + [default_kernel_contour(nodes)]:
         if flip_orientation:
             ctr = ctr.with_orientation(-ctr.orientation_sign)
         worst_o = max(worst_o, abs(integrate(dp_n_coeff, ctr) - TWO_PI))
-    ctr = default_kernel_contour(nodes)
-    if flip_orientation:
-        ctr = ctr.with_orientation(-ctr.orientation_sign)
-    worst_o = max(worst_o, abs(integrate(dp_n_coeff, ctr) - TWO_PI))
     checks.append(_Check("orientation", worst_o, 1e-10))
 
     # delta property for the bare and normalized kernels

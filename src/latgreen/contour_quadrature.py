@@ -19,7 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -30,11 +30,14 @@ __all__ = [
     "circle",
     "integrate",
     "residue",
+    "sample_rule",
     "split_at_sign_changes",
     "DEFAULT_NODES",
 ]
 
 DEFAULT_NODES = 512
+# nodes on each small circle of a residue
+RESIDUE_NODES = 256
 
 # quadrature dtype: 80-bit extended on x86-64, falls back to double elsewhere
 QUAD_DTYPE = np.clongdouble
@@ -79,13 +82,12 @@ class Contour:
         return replace(self, orientation_sign=sign)
 
 
-def circle(center: complex, radius: float, counterclockwise: bool = True) -> CurveComponent:
-    """Closed circular component around ``center``."""
-    turn = TWO_PI_Q if counterclockwise else -TWO_PI_Q
+def circle(center: complex, radius: float) -> CurveComponent:
+    """Closed circular component around ``center``, traversed anticlockwise."""
 
     def sample(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        e = np.exp(1j * turn * t.astype(QUAD_REAL)).astype(QUAD_DTYPE)
-        return center + radius * e, 1j * turn * radius * e
+        e = np.exp(1j * TWO_PI_Q * t.astype(QUAD_REAL)).astype(QUAD_DTYPE)
+        return center + radius * e, 1j * TWO_PI_Q * radius * e
 
     return CurveComponent(sample, closed=True)
 
@@ -119,54 +121,49 @@ def _component_rule(comp: CurveComponent, nodes: int) -> Tuple[np.ndarray, np.nd
     return t, w, _fejer2(nodes // 2)[1]
 
 
+def sample_rule(contour: Contour) -> Iterator[Tuple[np.ndarray, ...]]:
+    """Per component, ``(z, dz, w, w_half)``: the nodes, the oriented dz/dt
+    at them, the rule's weights, and the nested half rule's weights on the
+    nodes [1::2].
+
+    This is the one place where a contour's node count and orientation are
+    applied; each component takes ``contour.nodes_per_component`` nodes.
+    """
+    for comp in contour.components:
+        t, w, w_half = _component_rule(comp, contour.nodes_per_component)
+        z, dz = comp.sample(t)
+        yield z, dz * contour.orientation_sign, w, w_half
+
+
 def integrate(omega: DifferentialEvaluator, contour: Contour) -> complex:
     """Integrate the differential ``omega(z) dz`` along the contour.
 
-    Each component takes ``contour.nodes_per_component`` nodes.  ``omega``
-    returns the coefficient against dz; dz/dt from each component's
-    ``sample`` and the orientation sign are applied here.  A non-finite
-    sample raises :class:`PoleOnContourError`.
+    ``omega`` returns the coefficient against dz; the nodes, weights and
+    oriented dz/dt come from :func:`sample_rule`.  A non-finite sample
+    raises :class:`PoleOnContourError`.
     """
     total = QUAD_DTYPE(0)
-    for comp in contour.components:
-        t, w, _ = _component_rule(comp, contour.nodes_per_component)
-        z, dz = comp.sample(t)
+    for z, dz, w, _ in sample_rule(contour):
         with np.errstate(divide="ignore", invalid="ignore"):
             samples = np.asarray(omega(z), dtype=QUAD_DTYPE) * dz
         if not np.all(np.isfinite(samples.astype(complex))):
             raise PoleOnContourError("non-finite integrand sample on the contour")
         total = total + np.sum(samples * w)
-    return complex(contour.orientation_sign * total)
+    return complex(total)
 
 
-def residue(
-    omega: DifferentialEvaluator,
-    center: complex,
-    radius: Optional[float] = None,
-    nodes: int = 256,
-    isolation_points: Optional[Sequence[complex]] = None,
-) -> complex:
+def residue(omega: DifferentialEvaluator, center: complex, radius: float) -> complex:
     """Residue of ``omega(z) dz`` at an isolated singularity.
 
-    Computed as ``(1 / 2 pi i)`` times the integral over a small
-    counterclockwise circle.  If ``radius`` is omitted it defaults to half
-    the distance from ``center`` to the nearest point of
-    ``isolation_points``.  The value is recomputed at half the radius;
+    Computed as ``(1 / 2 pi i)`` times the integral over the
+    anticlockwise circle of ``radius`` around ``center``, with
+    ``RESIDUE_NODES`` nodes.  The value is recomputed at half the radius;
     disagreement beyond 1e-9 emits a warning (higher-order pole or
     misplaced center).
     """
-    if radius is None:
-        if not isolation_points:
-            raise ValueError("radius or isolation_points required")
-        dists = [abs(complex(p) - complex(center)) for p in isolation_points
-                 if abs(complex(p) - complex(center)) > 0]
-        if not dists:
-            raise ValueError("no other isolation points to set a default radius")
-        radius = min(dists) / 2.0
 
     def one(r: float) -> complex:
-        ring = Contour(components=(circle(center, r, counterclockwise=True),),
-                       nodes_per_component=nodes)
+        ring = Contour(components=(circle(center, r),), nodes_per_component=RESIDUE_NODES)
         return integrate(omega, ring) / (2j * np.pi)
 
     value = one(radius)
@@ -193,7 +190,7 @@ def _subarc(comp: CurveComponent, a, b) -> CurveComponent:
 
 
 def split_at_sign_changes(contour: Contour, ts: Sequence) -> Contour:
-    """Cut every closed component at the parameters ``ts`` (in [0, 1)).
+    """Cut every component (all must be closed) at the parameters ``ts`` in [0, 1).
 
     ``ts`` are the points where a weight changes sign, known in closed form
     by the caller.  Piecewise-sign-definite integrands (e.g. sgn-weighted
@@ -207,10 +204,6 @@ def split_at_sign_changes(contour: Contour, ts: Sequence) -> Contour:
     if roots.size == 0:
         return contour
     ends = np.append(roots, roots[0] + 1)
-    new_components: List[CurveComponent] = []
-    for comp in contour.components:
-        if not comp.closed:
-            new_components.append(comp)
-            continue
-        new_components.extend(_subarc(comp, a, b) for a, b in zip(ends[:-1], ends[1:]))
-    return replace(contour, components=tuple(new_components))
+    arcs = [_subarc(comp, a, b) for comp in contour.components
+            for a, b in zip(ends[:-1], ends[1:])]
+    return replace(contour, components=tuple(arcs))

@@ -44,15 +44,13 @@ from .contour_quadrature import (
     QUAD_REAL,
     Contour,
     PoleOnContourError,
-    _component_rule,
     residue,
+    sample_rule,
     split_at_sign_changes,
 )
 from .lattice_core import LatticeField, apply_L, coefficients_from_f, from_sublattice
 from .sphere_backend import (
     DEFAULT_KERNEL_RADIUS,
-    INFINITY,
-    MARKED_POINTS,
     P_PLUS,
     Q_PLUS,
     Level,
@@ -83,8 +81,8 @@ __all__ = [
 ]
 
 FOUR_PI = 4.0 * math.pi
-# the default residue radius is half the distance to the nearest of these
-_FINITE_MARKED_POINTS = [complex(p) for p in MARKED_POINTS if p is not INFINITY]
+# half the distance from Q+ = i and from P+ = 1 to their nearest marked point, R- = 0
+_RESIDUE_RADIUS = 0.5
 
 Bounds = Tuple[Tuple[int, int], Tuple[int, int]]
 Window = Union[int, Bounds]
@@ -143,10 +141,8 @@ def _arc_products(contour: Contour, offsets: Bounds, nested: bool = False) -> Li
     U**dmu V**dnu, ``P[0] = (Up * base * w) @ Vp.T``.  A point is 1 x 1.
     """
     products = []
-    for comp in contour.components:
-        t, w, w_half = _component_rule(comp, contour.nodes_per_component)
-        z, dz = comp.sample(t)
-        base = omega_coeff(z) * dz * contour.orientation_sign
+    for z, dz, w, w_half in sample_rule(contour):
+        base = omega_coeff(z) * dz
         up, vp = psi_power_tables(z, *offsets)
         halves = [(up[:, 1::2] * (base[1::2] * w_half)) @ vp[:, 1::2].T] if nested else []
         up *= base * w
@@ -365,32 +361,14 @@ def growth_check(
     return float(ratio.max())
 
 
-def residue_lemma_Q(
-    mu: int,
-    nu: int,
-    radius: Optional[float] = None,
-    nodes: int = 256,
-) -> complex:
+def residue_lemma_Q(mu: int, nu: int) -> complex:
     """Residue at Q+ of a[mu, nu] * omega_tilde(mu+1, nu; mu, nu); expected i."""
     a = coefficients_from_f(f, mu, nu).a_right
     ev = WaveDifferential.from_sublattice(mu + 1, nu, mu, nu)
-    return residue(
-        lambda z: a * ev(z),
-        Q_PLUS,
-        radius=radius,
-        nodes=nodes,
-        isolation_points=_FINITE_MARKED_POINTS,
-    )
+    return residue(lambda z: a * ev(z), Q_PLUS, _RESIDUE_RADIUS)
 
 
-def residue_lemma_P(
-    mu: int,
-    nu: int,
-    mu_t: int,
-    nu_t: int,
-    radius: Optional[float] = None,
-    nodes: int = 256,
-) -> float:
+def residue_lemma_P(mu: int, nu: int, mu_t: int, nu_t: int) -> float:
     """Residual of the P+ cancellation on the diagonal sublattice.
 
     For mu - nu = mu_t - nu_t the residues at P+ of
@@ -406,11 +384,5 @@ def residue_lemma_P(
     co = coefficients_from_f(f, mu, nu)
     ev1 = WaveDifferential.from_sublattice(mu + 1, nu, mu_t, nu_t)
     ev2 = WaveDifferential.from_sublattice(mu, nu - 1, mu_t, nu_t)
-    total = residue(
-        lambda z: co.a_right * ev1(z) + co.b_down * ev2(z),
-        P_PLUS,
-        radius=radius,
-        nodes=nodes,
-        isolation_points=_FINITE_MARKED_POINTS,
-    )
+    total = residue(lambda z: co.a_right * ev1(z) + co.b_down * ev2(z), P_PLUS, _RESIDUE_RADIUS)
     return abs(total)

@@ -57,7 +57,6 @@ __all__ = [
     "Q_MINUS",
     "R_PLUS",
     "R_MINUS",
-    "MARKED_POINTS",
     "psi",
     "psi_dual",
     "omega_coeff",
@@ -107,8 +106,6 @@ Q_PLUS = 1.0j
 Q_MINUS = -1.0j
 R_PLUS = INFINITY
 R_MINUS = 0.0 + 0.0j
-
-MARKED_POINTS: Tuple[SpherePoint, ...] = (P_PLUS, P_MINUS, Q_PLUS, Q_MINUS, R_PLUS, R_MINUS)
 
 # level circles |w| within this band of the critical level |w| = 1 (which
 # passes through P+-, R+-) are replaced by a regular fallback circle
@@ -263,10 +260,6 @@ def dp_n_coeff(z: SpherePoint):
     return _dp(z, Q_PLUS, "dp_n")
 
 
-# np.log with log 0 = -inf and no warning
-_log0 = np.errstate(divide="ignore")(np.log)
-
-
 def _log_ratio(z: SpherePoint, p: complex):
     """log |(z+p)/(z-p)|: +inf at p, -inf at -p, 0 at infinity.
 
@@ -277,12 +270,12 @@ def _log_ratio(z: SpherePoint, p: complex):
         return 0.0
     z = _finite(z)
     if isinstance(z, np.ndarray):
-        log = _log0
-    elif z == p or z == -p:
+        # log 0 = -inf, without a warning
+        with np.errstate(divide="ignore"):
+            return np.log(abs(z + p)) - np.log(abs(z - p))
+    if z == p or z == -p:
         return math.inf if z == p else -math.inf
-    else:
-        log = math.log
-    return log(abs(z + p)) - log(abs(z - p))
+    return math.log(abs(z + p)) - math.log(abs(z - p))
 
 
 def im_p_m(z: SpherePoint):
@@ -344,11 +337,7 @@ def level_circle_contour(radius: float, nodes: int = DEFAULT_NODES) -> Contour:
         w = r * np.exp(-1j * TWO_PI_Q * t.astype(QUAD_REAL)).astype(QUAD_DTYPE)
         return mobius_z(w), 2j / (1.0 - w) ** 2 * (-1j * TWO_PI_Q * w)
 
-    return Contour(
-        components=(CurveComponent(sample, closed=True),),
-        nodes_per_component=nodes,
-        orientation_sign=1,
-    )
+    return Contour(components=(CurveComponent(sample, closed=True),), nodes_per_component=nodes)
 
 
 class Level(NamedTuple):

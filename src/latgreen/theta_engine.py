@@ -361,7 +361,8 @@ def load_jacobian_data(path: Union[str, Path]) -> JacobianSpectralData:
     if missing:
         raise InvalidSpectralDataError(f"missing fields: {sorted(missing)}")
     g = payload["g"]
-    if not isinstance(g, int) or g < 1:
+    # bool is an int subclass, so "g": true would read as genus 1
+    if isinstance(g, bool) or not isinstance(g, int) or g < 1:
         raise InvalidSpectralDataError("g must be a positive integer")
     try:
         B = np.array([[_cx_in(v, "B") for v in row] for row in payload["B"]])

@@ -285,6 +285,19 @@ def test_verify_malformed_data_file_is_rejected(tmp_path, capsys):
     assert "not a JSON object" in capsys.readouterr().err
 
 
+def test_verify_rejects_bool_genus(tmp_path, rng, capsys):
+    # bool is an int subclass: "g": true must not read as genus 1
+    from latgreen import save_jacobian_data
+
+    path = tmp_path / "data.json"
+    save_jacobian_data(random_jacobian_data(rng, 1), path)
+    payload = json.loads(path.read_text())
+    payload["g"] = True
+    path.write_text(json.dumps(payload))
+    assert run(["verify", "--backend", str(path)]) == 2
+    assert "g must be a positive integer" in capsys.readouterr().err
+
+
 def test_verify_rejects_asymmetric_matrix(tmp_path, capsys):
     path = tmp_path / "bad.json"
     payload = {

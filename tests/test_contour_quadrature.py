@@ -126,11 +126,6 @@ def test_infinity_residue_by_large_circle():
     assert -integrate(omega_tilde, ring) / (2j * np.pi) == pytest.approx(0.5, abs=1e-10)
 
 
-def test_residue_default_radius_from_isolation_points():
-    value = residue(omega_coeff, 0.0, isolation_points=[1.0, -1.0, 1j, -1j, 0.0])
-    assert value == pytest.approx(-0.5, abs=1e-12)
-
-
 def test_residue_radius_halving_invariance():
     for r in (0.6, 0.3, 0.15):
         a = residue(omega_coeff, 0.0, radius=r)

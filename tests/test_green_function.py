@@ -11,12 +11,15 @@ from latgreen import (
     LatticeField,
     WaveDifferential,
     apply_L,
+    c_contour,
     default_kernel_contour,
+    dp_n_coeff,
     g0,
     green,
     green_table,
     growth_check,
     im_p_m,
+    integrate,
     kernel_K,
     residue,
     residue_lemma_P,
@@ -59,6 +62,22 @@ def test_kernel_cross_check_value():
     contour = default_kernel_contour()
     mu, nu = to_sublattice(1, -1)
     assert kernel_K(contour, mu, nu, 0, 0) == pytest.approx(2 * math.pi, abs=1e-10)
+
+
+@pytest.mark.parametrize("make", [lambda: c_contour(2 + 2j), default_kernel_contour],
+                         ids=["c_contour", "default"])
+def test_orientation_negates_every_integral_exactly(make):
+    # the sign is applied once, to dz/dt, and multiplying by -1 is exact, so
+    # every integral on the reversed contour is the exact negation
+    contour = make()
+    flipped = contour.with_orientation(-1)
+    assert integrate(dp_n_coeff, flipped) == -integrate(dp_n_coeff, contour)
+    for dmu, dnu in [(0, 1), (2, -1), (-3, 4)]:
+        assert kernel_K(flipped, dmu, dnu, 0, 0) == -kernel_K(contour, dmu, dnu, 0, 0)
+        assert g0(flipped, dmu, dnu, 0, 0) == -g0(contour, dmu, dnu, 0, 0)
+    window = ((-3, 3), (-3, 3))
+    table = green_function._g0_values(contour, window, nested=True)
+    assert np.array_equal(green_function._g0_values(flipped, window, nested=True), -table)
 
 
 def test_kernel_annihilated_by_five_point():
