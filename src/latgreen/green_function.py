@@ -133,20 +133,20 @@ def _point(dmu: int, dnu: int) -> Bounds:
 def _arc_products(contour: Contour, offsets: Bounds, nested: bool = False) -> List[np.ndarray]:
     """Per component, the integrals of the wave differential over offsets.
 
-    ``P[r, i, j]`` is the integral along the component (orientation
-    included) of psi(z, dm, dn) Omega at the offset (dmu_lo + i, dnu_lo +
-    j), dm = dmu - dnu, dn = dmu + dnu, in extended precision: by the rule
-    (r = 0) and, if ``nested``, by its half rule on the nodes [1::2] (r = 1).
-    ``base`` = Omega * dz/dt is sampled once per component; with psi =
-    U**dmu V**dnu, ``P[0] = (Up * base * w) @ Vp.T``.  A point is 1 x 1.
+    ``P[r, i, j]`` is the integral along the component (orientation included) of psi(z, dm, dn)
+    Omega at the offset (dmu_lo + i, dnu_lo + j), dm = dmu - dnu, dn = dmu + dnu, in extended
+    precision: by the rule (r = 0) and, if ``nested``, by its half rule on the nodes [1::2] (r = 1).
+    ``base`` = Omega * dz/dt is sampled once per component; with psi = U**dmu V**dnu, ``P[0] =
+    np.inner(Up * base * w, Vp)``.  A point is 1 x 1.  numpy has no BLAS for clongdouble; its dot
+    kernel (np.inner) adds the same sum in the same order as matmul's fallback loop, at half the cost.
     """
     products = []
     for z, dz, w, w_half in sample_rule(contour):
         base = omega_coeff(z) * dz
         up, vp = psi_power_tables(z, *offsets)
-        halves = [(up[:, 1::2] * (base[1::2] * w_half)) @ vp[:, 1::2].T] if nested else []
+        halves = [np.inner(up[:, 1::2] * (base[1::2] * w_half), vp[:, 1::2])] if nested else []
         up *= base * w
-        products.append(np.stack([up @ vp.T, *halves]))
+        products.append(np.stack([np.inner(up, vp), *halves]))
         # free this component's tables before the next one builds its own
         del up, vp
         if not np.all(np.isfinite(products[-1])):

@@ -29,7 +29,16 @@ from latgreen import (
     verify_delta,
 )
 from latgreen import INFINITY, green_function
-from latgreen.sphere_backend import Q_PLUS, f, im_p_m_crossings, level, level_circle_contour
+from latgreen.contour_quadrature import sample_rule
+from latgreen.sphere_backend import (
+    Q_PLUS,
+    f,
+    im_p_m_crossings,
+    level,
+    level_circle_contour,
+    omega_coeff,
+    psi_power_tables,
+)
 
 from conftest import CLOSE_FLIPS, mp_level
 
@@ -147,6 +156,19 @@ def test_green_delta_property_small_window():
 def test_green_degenerate_lambda():
     with pytest.raises(DegenerateContourError):
         green(Q_PLUS, 1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("lam", [2 + 2j, -1 + 2j, 0.3 + 0.1j, 1.7 - 0.6j, CLOSE_FLIPS,
+                                 -1.2337 - 0.4640j, 0.2 - 1.4j, 5j])
+def test_green_target_value_is_exact(lam):
+    # at offset 0 psi = 1, and each arc integrates Omega = -dz/(2z) between
+    # lambda and 1/conj(lambda), which share their argument, so
+    # G(0, 0) = -|ln|lambda|| / (2 pi) exactly on every regular level
+    import mpmath as mp
+
+    with mp.workdps(30):
+        want = float(-abs(mp.log(abs(mp.mpc(lam)))) / (2 * mp.pi))
+    assert abs(green(lam, 0, 0, 0, 0) - want) < 1e-16
 
 
 def mp_crossings(r, h):
@@ -305,6 +327,24 @@ def test_residue_lemma_P_hypothesis_enforced():
 
 
 # --- tables ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("make, window", [
+    (lambda: split_at_sign_changes(c_contour(2 + 2j), im_p_m_crossings(*level(2 + 2j)[:2])), 24),
+    (default_kernel_contour, 8),
+], ids=["split_2+2i", "default"])
+def test_arc_products_are_the_sequential_sum(make, window):
+    # the per-arc products are the node-by-node extended-precision sums of
+    # matmul's loop, bit for bit, by the full rule and by its half rule
+    contour = make()
+    offsets = ((-window, window), (-window, window))
+    got = green_function._arc_products(contour, offsets, nested=True)
+    assert len(got) == len(contour.components)
+    for p, (z, dz, w, w_half) in zip(got, sample_rule(contour)):
+        base = omega_coeff(z) * dz
+        up, vp = psi_power_tables(z, *offsets)
+        half = (up[:, 1::2] * (base[1::2] * w_half)) @ vp[:, 1::2].T
+        assert np.array_equal(p, np.stack([(up * (base * w)) @ vp.T, half]))
+
 
 @pytest.mark.parametrize("kind, lam", [("green", 2 + 2j), ("g0", 2 + 2j), ("g0", None)])
 def test_table_is_translation_invariant(kind, lam):
